@@ -94,7 +94,7 @@ def measure_pair(
         total_samples=total,
         diff_samples=diff_samples,
         diff_pct=100.0 * diff_samples / total,
-        index_entries=len(delta.index),
+        index_entries=len(delta.records),
         wire_bytes=wire_bytes,
         ratio_samples=diff_samples / total,
         ratio_wire=wire_bytes / total,

@@ -150,6 +150,7 @@ def _replay_container(stream: BinaryIO) -> tuple[wirecodec.Hello, Iterator[Frame
             if isinstance(msg, wirecodec.RefFrame):
                 if reference is not None:
                     raise net.ProtocolViolation("REF_FRAME repeated mid-container")
+                wirecodec.check_declared_lengths(msg, first.geometry)
                 reference = Frame(first.geometry, wirecodec.message_to_samples(msg))
                 expected_no = msg.frame_no + 1
             elif isinstance(msg, wirecodec.Delta):
@@ -159,6 +160,7 @@ def _replay_container(stream: BinaryIO) -> tuple[wirecodec.Hello, Iterator[Frame
                     raise net.ProtocolViolation(
                         f"frame_no gap: expected {expected_no}, got {msg.frame_no}"
                     )
+                wirecodec.check_declared_lengths(msg, first.geometry)
                 reference = decode_delta(reference, wirecodec.message_to_delta(msg))
                 expected_no += 1
             else:

@@ -8,8 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Iterable, Union
+
+import numpy as np
 
 MAX_TOTAL_SAMPLES = 2**32 - 1
+
+# One index record: code(s8) count(u32, little-endian), packed to 5 bytes,
+# which is exactly the wire layout, so (de)serialising is a buffer copy.
+INDEX_RECORD = np.dtype([("code", "i1"), ("count", "<u4")])
 
 
 class CodecError(Exception):
@@ -33,7 +40,7 @@ class DiffMismatch(InvalidDelta):
 
 
 class BadEntry(InvalidDelta):
-    """An index entry carries a count its code does not allow."""
+    """An index entry carries an unassigned code, or a count its code does not allow."""
 
 
 class LoneEqualViolated(InvalidDelta):
@@ -58,6 +65,16 @@ class IndexCode(IntEnum):
     COPY_FROM_DIFF = -2    # copy literal samples from the difference buffer
     COPY_FROM_REF = -3     # copy samples from the reference at the same positions
     REPEAT_FROM_DIFF = -5  # read one diff sample, replicate it count times
+
+
+# Indexed by int8 codes: negative indices wrap, so all 256 values land in range.
+_IS_ASSIGNED = np.zeros(256, dtype=bool)
+_IS_ASSIGNED[[int(code) for code in IndexCode]] = True
+
+
+def unassigned_codes(code: np.ndarray) -> np.ndarray:
+    """Positions in an int8 code array that hold no assigned IndexCode."""
+    return np.flatnonzero(~_IS_ASSIGNED[code])
 
 
 class EncoderMode(Enum):
@@ -120,18 +137,58 @@ class IndexEntry:
             raise ValueError(f"entry count out of range: {self.count}")
 
 
-@dataclass(frozen=True)
+IndexLike = Union[np.ndarray, Iterable[IndexEntry]]
+
+
+def index_records(index: IndexLike) -> np.ndarray:
+    """The index as an INDEX_RECORD array; an array already in that layout is returned as is."""
+    if isinstance(index, np.ndarray):
+        if index.dtype != INDEX_RECORD:
+            raise TypeError(f"index records must have dtype {INDEX_RECORD}, got {index.dtype}")
+        return index
+    return np.array([(int(e.code), e.count) for e in index], dtype=INDEX_RECORD)
+
+
 class FrameDelta:
-    """An encoded frame: the ordered index buffer plus the difference buffer."""
+    """An encoded frame: the ordered index records plus the difference buffer.
 
-    index: tuple[IndexEntry, ...]
-    diff: bytes
+    `records` is one INDEX_RECORD array, the wire record layout, and every
+    hot path (encode, serialise, validate, replay) works on it as whole
+    arrays.  The constructor also takes a sequence of IndexEntry; `index`
+    is the same index as a tuple of IndexEntry, built on first use for
+    callers that want objects, and never built on the hot paths.  The
+    records are not copied: they are made read-only through this delta.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, tuple):
-            object.__setattr__(self, "index", tuple(self.index))
-        if not isinstance(self.diff, bytes):
-            object.__setattr__(self, "diff", bytes(self.diff))
+    __slots__ = ("records", "diff", "_entries")
+
+    def __init__(self, index: IndexLike, diff: bytes) -> None:
+        records = index_records(index).view()
+        records.flags.writeable = False
+        self.records = records
+        self.diff = diff if isinstance(diff, bytes) else bytes(diff)
+        self._entries = None
+
+    @property
+    def index(self) -> tuple[IndexEntry, ...]:
+        if self._entries is None:
+            codes = map(IndexCode, self.records["code"].tolist())
+            self._entries = tuple(map(IndexEntry, codes, self.records["count"].tolist()))
+        return self._entries
+
+    def _key(self) -> tuple[bytes, bytes]:
+        return self.records.tobytes(), self.diff
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameDelta):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"FrameDelta({len(self.records)} index entries, {len(self.diff)} diff bytes)"
 
 
 EQUAL_FRAMES_DELTA = FrameDelta(index=(IndexEntry(IndexCode.EQUAL_FRAMES, 0),), diff=b"")
@@ -154,36 +211,41 @@ def validate_delta(delta: FrameDelta, geom: FrameGeometry) -> None:
 
     Raises a specific InvalidDelta subclass on the first violation found:
 
-    * BadEntry          -- count rule broken for an entry's code
+    * BadEntry          -- unassigned code, or count rule broken for an entry's code
     * LoneEqualViolated -- EQUAL_FRAMES not the sole entry / diff not empty
     * CountMismatch     -- entry counts do not sum to geom.total_samples
     * DiffMismatch      -- diff length differs from what the index consumes
-    """
-    for entry in delta.index:
-        if entry.code is IndexCode.EQUAL_FRAMES:
-            if entry.count != 0:
-                raise BadEntry(f"EQUAL_FRAMES entry must carry count 0, got {entry.count}")
-        elif entry.count < 1:
-            raise BadEntry(f"{entry.code.name} entry must carry count >= 1")
 
-    if any(e.code is IndexCode.EQUAL_FRAMES for e in delta.index):
-        if len(delta.index) != 1:
+    Sums are taken in 64 bits, so counts near 2**32 cannot wrap around.
+    """
+    code = delta.records["code"]
+    count = delta.records["count"]
+    unassigned = unassigned_codes(code)
+    if unassigned.size:
+        raise BadEntry(f"index code {code[unassigned[0]]} is not assigned")
+    equal = code == IndexCode.EQUAL_FRAMES
+    broken = np.flatnonzero(np.where(equal, count != 0, count == 0))
+    if broken.size:
+        first = broken[0]
+        if equal[first]:
+            raise BadEntry(f"EQUAL_FRAMES entry must carry count 0, got {count[first]}")
+        raise BadEntry(f"{IndexCode(code[first]).name} entry must carry count >= 1")
+
+    if equal.any():
+        if len(code) != 1:
             raise LoneEqualViolated("EQUAL_FRAMES must be the only index entry")
         if delta.diff:
             raise LoneEqualViolated("EQUAL_FRAMES delta must have an empty difference buffer")
         return
 
-    produced = sum(e.count for e in delta.index)
+    produced = int(count.sum(dtype=np.uint64))
     if produced != geom.total_samples:
         raise CountMismatch(
             f"index produces {produced} samples, geometry needs {geom.total_samples}"
         )
 
-    consumed = sum(
-        e.count if e.code is IndexCode.COPY_FROM_DIFF else 1
-        for e in delta.index
-        if e.code in (IndexCode.COPY_FROM_DIFF, IndexCode.REPEAT_FROM_DIFF)
-    )
+    literal = count[code == IndexCode.COPY_FROM_DIFF].sum(dtype=np.uint64)
+    consumed = int(literal) + int(np.count_nonzero(code == IndexCode.REPEAT_FROM_DIFF))
     if consumed != len(delta.diff):
         raise DiffMismatch(
             f"index consumes {consumed} diff samples, buffer holds {len(delta.diff)}"

@@ -1,55 +1,41 @@
 """Client-side reconstruction: rebuild a frame from reference + delta.
 
-The decoder walks the index buffer with an output cursor starting at 0.
-COPY_FROM_REF copies from the reference at the cursor position (positional,
-never searched), COPY_FROM_DIFF copies literal samples from the difference
-buffer, REPEAT_FROM_DIFF reads one diff sample and replicates it.  A delta
-is validated before any output is produced.
+A delta is validated before any output is produced; a validated delta's
+counts tile the frame and consume the difference buffer exactly, so the
+replay is two whole-array steps instead of a cursor walk:
+
+* the output starts as a copy of the reference, which already holds every
+  COPY_FROM_REF run (positional, never searched);
+* the positions of the other entries' runs, built with np.repeat from the
+  cumulative counts, take the difference buffer expanded by np.repeat: a
+  COPY_FROM_DIFF sample once, a REPEAT_FROM_DIFF entry's single sample
+  `count` times.
 """
 
 from __future__ import annotations
 
-from .core import (
-    CursorOverrun,
-    DiffExhausted,
-    Frame,
-    FrameDelta,
-    IndexCode,
-    IndexEntry,
-    validate_delta,
-)
+import numpy as np
+
+from .core import Frame, FrameDelta, IndexCode, validate_delta
 
 
-def _replay(
-    ref_samples: bytes,
-    entries: tuple[IndexEntry, ...],
-    diff: bytes,
-    total: int,
-) -> bytearray:
-    """Execute index entries in order, returning the produced samples."""
-    out = bytearray()
-    diff_pos = 0
-    for entry in entries:
-        cursor = len(out)
-        count = entry.count
-        if entry.code is IndexCode.COPY_FROM_REF:
-            if cursor + count > total:
-                raise CursorOverrun(f"reference copy past sample {total}")
-            out += ref_samples[cursor:cursor + count]
-        elif entry.code is IndexCode.COPY_FROM_DIFF:
-            if diff_pos + count > len(diff):
-                raise DiffExhausted("difference buffer exhausted during literal copy")
-            out += diff[diff_pos:diff_pos + count]
-            diff_pos += count
-        elif entry.code is IndexCode.REPEAT_FROM_DIFF:
-            if diff_pos >= len(diff):
-                raise DiffExhausted("difference buffer exhausted during repeat")
-            out += diff[diff_pos:diff_pos + 1] * count
-            diff_pos += 1
-        else:  # EQUAL_FRAMES inside a multi-entry index is rejected upstream
-            out += ref_samples
-        if len(out) > total:
-            raise CursorOverrun(f"cursor {len(out)} past frame end {total}")
+def _replay(ref_samples: bytes, records: np.ndarray, diff: bytes) -> np.ndarray:
+    """Samples a validated, non-EQUAL_FRAMES index produces, as a uint8 array."""
+    code = records["code"]
+    count = records["count"].astype(np.int64)
+    repeat = code == IndexCode.REPEAT_FROM_DIFF
+    # How many output positions each diff sample fills.
+    consumed = np.where(code == IndexCode.COPY_FROM_DIFF, count, repeat)
+    reps = np.ones(len(diff), dtype=np.int64)
+    reps[(np.cumsum(consumed) - consumed)[repeat]] = count[repeat]
+    # The output positions of the diff-fed entries, in order.
+    from_diff = code != IndexCode.COPY_FROM_REF
+    lengths = count[from_diff]
+    starts = (np.cumsum(count) - count)[from_diff]
+    positions = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    positions += np.arange(len(positions))
+    out = np.frombuffer(ref_samples, dtype=np.uint8).copy()
+    out[positions] = np.repeat(np.frombuffer(diff, dtype=np.uint8), reps)
     return out
 
 
@@ -61,10 +47,9 @@ def decode_delta(ref: Frame, delta: FrameDelta) -> Frame:
     consuming the difference buffer exactly.
     """
     validate_delta(delta, ref.geometry)
-    if delta.index[0].code is IndexCode.EQUAL_FRAMES:
+    if delta.records["code"][0] == IndexCode.EQUAL_FRAMES:
         return Frame(ref.geometry, ref.samples)
-    out = _replay(ref.samples, delta.index, delta.diff, ref.geometry.total_samples)
-    return Frame(ref.geometry, bytes(out))
+    return Frame(ref.geometry, _replay(ref.samples, delta.records, delta.diff).tobytes())
 
 
 def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
@@ -73,12 +58,13 @@ def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
     Diagnostic replay of a partial reconstruction; n_entries == len(index)
     yields the full frame's samples.
     """
-    if not 0 <= n_entries <= len(delta.index):
-        raise ValueError(f"n_entries {n_entries} outside [0, {len(delta.index)}]")
+    records = delta.records
+    if not 0 <= n_entries <= len(records):
+        raise ValueError(f"n_entries {n_entries} outside [0, {len(records)}]")
     validate_delta(delta, ref.geometry)
-    if n_entries and delta.index[0].code is IndexCode.EQUAL_FRAMES:
+    if n_entries == 0:
+        return b""
+    if records["code"][0] == IndexCode.EQUAL_FRAMES:
         return ref.samples
-    out = _replay(
-        ref.samples, delta.index[:n_entries], delta.diff, ref.geometry.total_samples
-    )
-    return bytes(out)
+    produced = int(records["count"][:n_entries].sum(dtype=np.uint64))
+    return _replay(ref.samples, records, delta.diff)[:produced].tobytes()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import queue
+import select
 import socket
 import threading
 import time
@@ -32,6 +33,7 @@ from .wirecodec import (
     Hello,
     RefFrame,
     WireFormatError,
+    check_declared_lengths,
     delta_to_message,
     frame_message,
     message_to_delta,
@@ -45,6 +47,7 @@ log = logging.getLogger("sfix.net")
 
 DEFAULT_CLIENT_QUEUE = 32
 _JOIN_TIMEOUT = 10.0
+_WRITER_GRACE = 0.005  # a runnable writer gets the interpreter lock within ~one switch interval
 
 
 class NetError(Exception):
@@ -190,9 +193,13 @@ class StreamServer:
     def _admit(self, sock: socket.socket, peer: str) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         client = _Client(sock, queue.Queue(maxsize=self._queue_size), peer)
+        # the writer runs before the client is listed, so finish() never
+        # meets a listed client whose writer thread it cannot join yet
+        client.writer = threading.Thread(target=self._write_loop, args=(client,), daemon=True)
+        client.writer.start()
         with self._lock:
             if self._closing:
-                sock.close()
+                client.outbox.put(None)  # the writer stops and closes the socket
                 return
             # bootstrap inside the lock: the reference snapshot and the
             # client's first delta must sit on the same frame boundary
@@ -202,8 +209,6 @@ class StreamServer:
                 client.outbox.put(frame_message(snapshot))
             self._clients.append(client)
             self.report.clients_total += 1
-        client.writer = threading.Thread(target=self._write_loop, args=(client,), daemon=True)
-        client.writer.start()
         log.info("client %s joined at frame %d", peer, self._ref_no)
 
     def _write_loop(self, client: _Client) -> None:
@@ -250,9 +255,7 @@ class StreamServer:
         self.report.serialize_calls += 1
         with self._lock:
             for client in list(self._clients):
-                try:
-                    client.outbox.put_nowait(blob)
-                except queue.Full:
+                if not self._offer(client, blob):
                     self._drop(client)
             if self._reference is not None:
                 frame = advance_reference(self._reference, frame)
@@ -261,6 +264,33 @@ class StreamServer:
         self.report.frames_encoded += 1
         if self._on_frame is not None:
             self._on_frame(frame_no)
+        return True
+
+    @staticmethod
+    def _offer(client: _Client, blob: bytes) -> bool:
+        """Queue a blob for a client; False if the client is a slow consumer.
+
+        A full outbox means a slow consumer when its writer is gone or its
+        socket has no room: the peer is not reading.  With room on the
+        socket, the writer only has not been scheduled yet (a burst of cheap
+        frames can hold the interpreter lock for a whole switch interval),
+        and waiting on the queue releases that lock so the writer drains it.
+        """
+        try:
+            client.outbox.put_nowait(blob)
+            return True
+        except queue.Full:
+            pass
+        try:
+            _, writable, _ = select.select([], [client.sock], [], 0)
+        except (OSError, ValueError):  # the writer already closed the socket
+            return False
+        if client.dropped or not writable:
+            return False
+        try:
+            client.outbox.put(blob, timeout=_WRITER_GRACE)
+        except queue.Full:
+            return False
         return True
 
     def finish(self) -> ServeReport:
@@ -378,6 +408,7 @@ def receive(
                 if reference is not None:
                     raise ProtocolViolation("REF_FRAME repeated mid-session")
                 try:
+                    check_declared_lengths(msg, geometry)
                     samples = message_to_samples(msg)
                     reference = Frame(geometry, samples)
                 except (WireFormatError, ValueError) as exc:
@@ -393,6 +424,7 @@ def receive(
                     )
                 started = time.perf_counter()
                 try:
+                    check_declared_lengths(msg, geometry)
                     delta = message_to_delta(msg)
                     frame = decode_delta(reference, delta)
                 except (WireFormatError, CodecError) as exc:
@@ -408,7 +440,7 @@ def receive(
                             total_samples=total,
                             diff_samples=len(delta.diff),
                             diff_pct=100.0 * len(delta.diff) / total,
-                            index_entries=len(delta.index),
+                            index_entries=len(delta.records),
                             wire_bytes=size,
                             ratio_samples=len(delta.diff) / total,
                             ratio_wire=size / total,

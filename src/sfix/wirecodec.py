@@ -11,7 +11,9 @@ All integers are little-endian.  Message layout:
                    raw_len(u32) comp_len(u32) + compressed bytes
     0x04 END       empty payload
 
-Index entries serialize to 5 bytes each: code(s8) count(u32).  Buffer
+Index entries serialize to 5 bytes each: code(s8) count(u32), which is
+core.INDEX_RECORD, so an index is written with one buffer copy and read
+with np.frombuffer.  Buffer
 compression is the DEFLATE algorithm in a zlib wrapper, whose adler32 is
 the only integrity check on the wire.
 
@@ -26,10 +28,18 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Union
 
-from .core import FrameDelta, FrameGeometry, IndexCode, IndexEntry
+import numpy as np
 
-INDEX_ENTRY_SIZE = 5
-_ENTRY = struct.Struct("<bI")
+from .core import (
+    INDEX_RECORD,
+    FrameDelta,
+    FrameGeometry,
+    IndexLike,
+    index_records,
+    unassigned_codes,
+)
+
+INDEX_ENTRY_SIZE = INDEX_RECORD.itemsize
 _MSG_HEADER = struct.Struct("<BI")
 _HELLO_PAYLOAD = struct.Struct("<IIBHHB")
 
@@ -61,7 +71,7 @@ class CorruptStream(WireFormatError):
 
 
 class LengthMismatch(WireFormatError):
-    """Decompressed data does not match the declared raw length."""
+    """A raw length disagrees with the decompressed data or the session geometry."""
 
 
 class TruncatedMessage(WireFormatError):
@@ -112,23 +122,20 @@ class End:
 StreamMessage = Union[Hello, RefFrame, Delta, End]
 
 
-def serialize_index(index: Iterable[IndexEntry]) -> bytes:
-    """Pack index entries as consecutive 5-byte code/count records."""
-    return b"".join(_ENTRY.pack(int(e.code), e.count) for e in index)
+def serialize_index(index: IndexLike) -> bytes:
+    """Pack index records (or entries) as consecutive 5-byte code/count records."""
+    return index_records(index).tobytes()
 
 
-def deserialize_index(data: bytes) -> tuple[IndexEntry, ...]:
-    """Inverse of serialize_index."""
+def deserialize_index(data: bytes) -> np.ndarray:
+    """Inverse of serialize_index: a read-only INDEX_RECORD array over `data`."""
     if len(data) % INDEX_ENTRY_SIZE:
         raise BadLength(f"index buffer length {len(data)} not a multiple of {INDEX_ENTRY_SIZE}")
-    entries = []
-    for offset in range(0, len(data), INDEX_ENTRY_SIZE):
-        code, count = _ENTRY.unpack_from(data, offset)
-        try:
-            entries.append(IndexEntry(IndexCode(code), count))
-        except ValueError:
-            raise UnknownCode(f"index code {code} is not assigned") from None
-    return tuple(entries)
+    records = np.frombuffer(data, dtype=INDEX_RECORD)
+    unassigned = unassigned_codes(records["code"])
+    if unassigned.size:
+        raise UnknownCode(f"index code {records['code'][unassigned[0]]} is not assigned")
+    return records
 
 
 def compress(data: bytes) -> bytes:
@@ -188,8 +195,43 @@ def frame_message(msg: StreamMessage) -> bytes:
 
 
 def wire_size(msg: StreamMessage) -> int:
-    """Framed size of a message in bytes."""
-    return _MSG_HEADER.size + len(_build_payload(msg)[1])
+    """Framed size of a message in bytes, from its field lengths."""
+    if isinstance(msg, Hello):
+        payload_len = _HELLO_PAYLOAD.size
+    elif isinstance(msg, RefFrame):
+        payload_len = 8 + len(msg.payload)
+    elif isinstance(msg, Delta):
+        payload_len = 20 + len(msg.index_payload) + len(msg.diff_payload)
+    elif isinstance(msg, End):
+        payload_len = 0
+    else:
+        raise TypeError(f"not a stream message: {msg!r}")
+    return _MSG_HEADER.size + payload_len
+
+
+def check_declared_lengths(msg: StreamMessage, geometry: FrameGeometry) -> None:
+    """Reject raw lengths the session geometry rules out, before any inflate.
+
+    A REF_FRAME must declare exactly one frame of samples; a DELTA's index
+    can hold at most one record per sample and its diff at most one byte
+    per sample.  This bounds every allocation decompress makes by the
+    geometry HELLO announced, not by what the peer declares.
+    """
+    total = geometry.total_samples
+    if isinstance(msg, RefFrame):
+        if msg.raw_len != total:
+            raise LengthMismatch(f"REF_FRAME declares {msg.raw_len} samples, frame has {total}")
+    elif isinstance(msg, Delta):
+        if msg.index_raw_len % INDEX_ENTRY_SIZE:
+            raise BadLength(
+                f"index raw length {msg.index_raw_len} not a multiple of {INDEX_ENTRY_SIZE}"
+            )
+        if msg.index_raw_len > INDEX_ENTRY_SIZE * total:
+            raise LengthMismatch(
+                f"index raw length {msg.index_raw_len} exceeds {INDEX_ENTRY_SIZE} x {total}"
+            )
+        if msg.diff_raw_len > total:
+            raise LengthMismatch(f"diff raw length {msg.diff_raw_len} exceeds {total} samples")
 
 
 def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
@@ -282,7 +324,7 @@ class MessageParser:
 
 def delta_to_message(frame_no: int, delta: FrameDelta) -> Delta:
     """Compress a frame delta's two buffers into a wire message."""
-    raw_index = serialize_index(delta.index)
+    raw_index = serialize_index(delta.records)
     return Delta(
         frame_no=frame_no,
         index_raw_len=len(raw_index),

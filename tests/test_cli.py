@@ -196,6 +196,31 @@ class TestEncodeDecode:
         assert rc == 1
         assert "gap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad,message", [
+        ("ref_raw_len", "REF_FRAME declares 16 samples"),
+        ("diff_raw_len", "diff raw length 9 exceeds 8"),
+    ])
+    def test_lengths_past_the_geometry_are_wire_errors(self, tmp_path, capsys, bad, message):
+        from sfix import wirecodec as wc
+        from sfix.core import FrameGeometry
+
+        # Each payload inflates to exactly its declared length, so only the
+        # 8-sample geometry HELLO announced rules the message out.
+        ref = wc.samples_to_message(0, bytes(16 if bad == "ref_raw_len" else 8))
+        diff = bytes(9 if bad == "diff_raw_len" else 0)
+        index = b"\xfd\x08\x00\x00\x00"  # COPY_FROM_REF 8
+        delta = wc.Delta(1, len(index), wc.compress(index), len(diff), wc.compress(diff))
+        buf = io.BytesIO()
+        wc.write_container(buf, [wc.Hello(FrameGeometry(4, 2), 25, 1), ref, delta, wc.End()])
+        buf.seek(0)
+        _, frames = cli._replay_container(buf)
+        with pytest.raises(wc.WireFormatError, match=message):
+            list(frames)
+        path = tmp_path / "bad.sfix"
+        path.write_bytes(buf.getvalue())
+        rc = cli.main(["decode", "--input", str(path), "--output", str(tmp_path / "o.y4m")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):

@@ -1,9 +1,11 @@
 """Value-object construction rules and delta validation."""
 
+import numpy as np
 import pytest
 
 from sfix.core import (
     EQUAL_FRAMES_DELTA,
+    INDEX_RECORD,
     BadEntry,
     CountMismatch,
     DiffMismatch,
@@ -156,3 +158,39 @@ def test_frame_delta_coerces_sequences():
     delta = FrameDelta([IndexEntry(IndexCode.COPY_FROM_REF, 12)], bytearray())
     assert isinstance(delta.index, tuple)
     assert isinstance(delta.diff, bytes)
+
+
+class TestValidateRecords:
+    """Deltas built straight from INDEX_RECORD arrays, as encode and the wire make them."""
+
+    @staticmethod
+    def records(*pairs):
+        return np.array(list(pairs), dtype=INDEX_RECORD)
+
+    def test_counts_past_32_bits_do_not_wrap(self):
+        # In uint32 arithmetic (2**32 - 1) + 13 wraps to 12, GEOM's total.
+        delta = FrameDelta(self.records((-3, 2**32 - 1), (-3, 13)), b"")
+        with pytest.raises(CountMismatch):
+            validate_delta(delta, GEOM)
+
+    @pytest.mark.parametrize("code", [-4, 0, 7, -128])
+    def test_unassigned_code_is_bad_entry(self, code):
+        delta = FrameDelta(self.records((-3, 6), (code, 6)), b"")
+        with pytest.raises(BadEntry, match="not assigned"):
+            validate_delta(delta, GEOM)
+
+    def test_records_and_entries_build_equal_deltas(self):
+        pairs = ((-3, 5), (-2, 3), (-5, 4))
+        from_records = FrameDelta(self.records(*pairs), bytes(4))
+        assert from_records == FrameDelta(entries(*pairs), bytes(4))
+        assert from_records.index == entries(*pairs)
+        validate_delta(from_records, GEOM)
+
+    def test_records_are_read_only(self):
+        delta = FrameDelta(self.records((-3, 12)), b"")
+        with pytest.raises(ValueError):
+            delta.records["count"][0] = 11
+
+    def test_other_dtypes_rejected(self):
+        with pytest.raises(TypeError):
+            FrameDelta(np.zeros(2, dtype=np.int64), b"")

@@ -24,6 +24,8 @@ from sfix.core import (
     IndexCode,
     validate_delta,
 )
+from sfix import wirecodec
+from sfix.decode import decode_delta
 from sfix.encode import RunKind, RunSegment, advance_reference, encode_delta, segment_runs
 
 
@@ -209,3 +211,47 @@ def test_index_structure_invariants(pair, min_run):
         )
     repeats = [e for e in delta.index if e.code is IndexCode.REPEAT_FROM_DIFF]
     assert all(e.count >= min_run for e in repeats)
+
+
+# -- edge shapes of the array passes ----------------------------------------------
+
+
+def edge_pairs(min_run):
+    """(name, ref, new) pairs at the edges of the run and stretch arithmetic."""
+    m = min_run
+    one = FrameGeometry(1, 1)
+    yield "one sample, equal", Frame(one, b"\x09"), Frame(one, b"\x09")
+    yield "one sample, changed", Frame(one, b"\x09"), Frame(one, b"\x0a")
+    cases = {
+        "first and last sample differ": [1] + [0] * 10 + [2],
+        "repeats at both ends": [5] * m + [1, 2] + [6] * m,
+        "adjacent repeats of min run": [0] + [5] * m + [6] * m + [7] * (m - 1) + [8] * m + [0],
+        "repeat one short of min run": [0] + [4] * (m - 1) + [0] + [4] * m,
+        "all differing, literal": [1, 2, 3, 4, 5, 6, 7, 8],
+        "all differing, one value": [3] * (m + 2),
+        "all differing, mixed": [1] * m + [2, 3, 2] + [4] * (m + 1) + [5],
+        "alternating equal and differing": [0, 1] * 6,
+    }
+    for name, values in cases.items():
+        geometry = FrameGeometry(len(values), 1)
+        yield name, Frame(geometry, bytes(len(values))), Frame(geometry, bytes(values))
+    rng = np.random.default_rng(m)
+    geometry = FrameGeometry(5, 4, 3)
+    ref = rng.integers(0, 3, geometry.total_samples, dtype=np.uint8)
+    new = np.where(rng.random(geometry.total_samples) < 0.5, ref, rng.integers(0, 3, ref.size))
+    yield "3-channel frame", Frame(geometry, ref.tobytes()), Frame(geometry, new.astype(np.uint8).tobytes())
+
+
+@pytest.mark.parametrize("mode", list(EncoderMode))
+@pytest.mark.parametrize("min_run", [2, 3, 5])
+def test_edge_shapes_match_oracle_and_round_trip(mode, min_run):
+    cfg = EncoderConfig(mode, min_repeat_run=min_run)
+    oracle_run = None if mode is EncoderMode.STANDARD_BASELINE else min_run
+    for name, ref, new in edge_pairs(min_run):
+        delta = encode_delta(ref, new, cfg)
+        want_index, want_diff = oracle.oracle_encode(ref.samples, new.samples, oracle_run)
+        assert as_pairs(delta) == want_index, name
+        assert delta.diff == want_diff, name
+        assert decode_delta(ref, delta).samples == new.samples, name
+        wired = wirecodec.message_to_delta(wirecodec.delta_to_message(1, delta))
+        assert decode_delta(ref, wired).samples == new.samples, name

@@ -290,6 +290,20 @@ class TestProtocolPolicing:
         with pytest.raises(net.DecodeFailure):
             net.receive(address, timeout=5.0)
 
+    @pytest.mark.parametrize("blob,cause", [
+        # 16 samples inflate cleanly, but the HELLO geometry holds 8
+        (wc.frame_message(wc.samples_to_message(0, bytes(16))), wc.LengthMismatch),
+        (wc.frame_message(wc.Delta(1, 7, wc.compress(bytes(7)), 0, b"")), wc.BadLength),
+        (wc.frame_message(wc.Delta(1, 45, wc.compress(bytes(45)), 0, b"")), wc.LengthMismatch),
+        (wc.frame_message(wc.Delta(1, 5, b"", 9, wc.compress(bytes(9)))), wc.LengthMismatch),
+    ])
+    def test_lengths_past_the_geometry_are_decode_failures(self, blob, cause):
+        blobs = [HELLO, blob] if blob[0] == 0x02 else [HELLO, REF0, blob]
+        address = scripted_server(blobs)
+        with pytest.raises(net.DecodeFailure) as failure:
+            net.receive(address, timeout=5.0)
+        assert isinstance(failure.value.__cause__, cause)
+
     def test_reference_geometry_mismatch_is_decode_failure(self):
         short_ref = wc.frame_message(wc.samples_to_message(0, bytes(4)))
         address = scripted_server([HELLO, short_ref])

@@ -38,7 +38,8 @@ class TestIndexSerialization:
 
     def test_round_trip(self):
         index = golden_delta().index
-        assert wc.deserialize_index(wc.serialize_index(index)) == index
+        records = wc.deserialize_index(wc.serialize_index(index))
+        assert FrameDelta(records, b"").index == index
 
     def test_ragged_length_rejected(self):
         with pytest.raises(wc.BadLength):
@@ -142,6 +143,31 @@ class TestMessageFraming:
             assert wc.wire_size(msg) == len(wc.frame_message(msg))
 
 
+class TestDeclaredLengths:
+    GEOM = FrameGeometry(4, 2)  # 8 samples
+
+    def test_lengths_the_geometry_allows_pass(self):
+        for msg in (
+            wc.Hello(self.GEOM, 25, 1),
+            wc.RefFrame(0, 8, b""),
+            wc.Delta(1, 40, b"", 8, b""),
+            wc.Delta(1, 5, b"", 0, b""),
+            wc.End(),
+        ):
+            wc.check_declared_lengths(msg, self.GEOM)
+
+    @pytest.mark.parametrize("msg,error", [
+        (wc.RefFrame(0, 7, b""), wc.LengthMismatch),
+        (wc.RefFrame(0, 9, b""), wc.LengthMismatch),
+        (wc.Delta(1, 7, b"", 0, b""), wc.BadLength),
+        (wc.Delta(1, 45, b"", 0, b""), wc.LengthMismatch),
+        (wc.Delta(1, 5, b"", 9, b""), wc.LengthMismatch),
+    ])
+    def test_lengths_past_the_geometry_rejected(self, msg, error):
+        with pytest.raises(error):
+            wc.check_declared_lengths(msg, self.GEOM)
+
+
 class TestParseMessage:
     def test_unassigned_type_rejected(self):
         with pytest.raises(wc.UnknownType):
@@ -203,7 +229,9 @@ messages = st.one_of(hellos, ref_frames, deltas, st.just(wc.End()))
 @given(messages)
 @settings(max_examples=200, deadline=None)
 def test_parse_inverts_frame(msg):
-    assert wc.parse_message(io.BytesIO(wc.frame_message(msg))) == msg
+    framed = wc.frame_message(msg)
+    assert wc.parse_message(io.BytesIO(framed)) == msg
+    assert wc.wire_size(msg) == len(framed)
 
 
 @given(st.lists(messages, max_size=6), st.integers(1, 7))
