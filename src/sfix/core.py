@@ -67,6 +67,13 @@ class IndexCode(IntEnum):
     REPEAT_FROM_DIFF = -5  # read one diff sample, replicate it count times
 
 
+# The codes as plain ints, for comparisons with numpy arrays on hot paths:
+# there an IntEnum member takes numpy's generic scalar path, ~6x slower.
+CODE_EQUAL_FRAMES = int(IndexCode.EQUAL_FRAMES)
+CODE_COPY_FROM_DIFF = int(IndexCode.COPY_FROM_DIFF)
+CODE_COPY_FROM_REF = int(IndexCode.COPY_FROM_REF)
+CODE_REPEAT_FROM_DIFF = int(IndexCode.REPEAT_FROM_DIFF)
+
 # Indexed by int8 codes: negative indices wrap, so all 256 values land in range.
 _IS_ASSIGNED = np.zeros(256, dtype=bool)
 _IS_ASSIGNED[[int(code) for code in IndexCode]] = True
@@ -223,7 +230,7 @@ def validate_delta(delta: FrameDelta, geom: FrameGeometry) -> None:
     unassigned = unassigned_codes(code)
     if unassigned.size:
         raise BadEntry(f"index code {code[unassigned[0]]} is not assigned")
-    equal = code == IndexCode.EQUAL_FRAMES
+    equal = code == CODE_EQUAL_FRAMES
     broken = np.flatnonzero(np.where(equal, count != 0, count == 0))
     if broken.size:
         first = broken[0]
@@ -244,8 +251,8 @@ def validate_delta(delta: FrameDelta, geom: FrameGeometry) -> None:
             f"index produces {produced} samples, geometry needs {geom.total_samples}"
         )
 
-    literal = count[code == IndexCode.COPY_FROM_DIFF].sum(dtype=np.uint64)
-    consumed = int(literal) + int(np.count_nonzero(code == IndexCode.REPEAT_FROM_DIFF))
+    literal = count[code == CODE_COPY_FROM_DIFF].sum(dtype=np.uint64)
+    consumed = int(literal) + int(np.count_nonzero(code == CODE_REPEAT_FROM_DIFF))
     if consumed != len(delta.diff):
         raise DiffMismatch(
             f"index consumes {consumed} diff samples, buffer holds {len(delta.diff)}"

@@ -16,20 +16,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame, FrameDelta, IndexCode, validate_delta
+from .core import (
+    CODE_COPY_FROM_DIFF,
+    CODE_COPY_FROM_REF,
+    CODE_EQUAL_FRAMES,
+    CODE_REPEAT_FROM_DIFF,
+    Frame,
+    FrameDelta,
+    validate_delta,
+)
 
 
 def _replay(ref_samples: bytes, records: np.ndarray, diff: bytes) -> np.ndarray:
     """Samples a validated, non-EQUAL_FRAMES index produces, as a uint8 array."""
     code = records["code"]
     count = records["count"].astype(np.int64)
-    repeat = code == IndexCode.REPEAT_FROM_DIFF
+    repeat = code == CODE_REPEAT_FROM_DIFF
     # How many output positions each diff sample fills.
-    consumed = np.where(code == IndexCode.COPY_FROM_DIFF, count, repeat)
+    consumed = np.where(code == CODE_COPY_FROM_DIFF, count, repeat)
     reps = np.ones(len(diff), dtype=np.int64)
     reps[(np.cumsum(consumed) - consumed)[repeat]] = count[repeat]
     # The output positions of the diff-fed entries, in order.
-    from_diff = code != IndexCode.COPY_FROM_REF
+    from_diff = code != CODE_COPY_FROM_REF
     lengths = count[from_diff]
     starts = (np.cumsum(count) - count)[from_diff]
     positions = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -47,7 +55,7 @@ def decode_delta(ref: Frame, delta: FrameDelta) -> Frame:
     consuming the difference buffer exactly.
     """
     validate_delta(delta, ref.geometry)
-    if delta.records["code"][0] == IndexCode.EQUAL_FRAMES:
+    if delta.records["code"][0] == CODE_EQUAL_FRAMES:
         return Frame(ref.geometry, ref.samples)
     return Frame(ref.geometry, _replay(ref.samples, delta.records, delta.diff).tobytes())
 
@@ -64,7 +72,7 @@ def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
     validate_delta(delta, ref.geometry)
     if n_entries == 0:
         return b""
-    if records["code"][0] == IndexCode.EQUAL_FRAMES:
+    if records["code"][0] == CODE_EQUAL_FRAMES:
         return ref.samples
     produced = int(records["count"][:n_entries].sum(dtype=np.uint64))
     return _replay(ref.samples, records, delta.diff)[:produced].tobytes()

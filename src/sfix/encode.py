@@ -28,13 +28,15 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    CODE_COPY_FROM_DIFF,
+    CODE_COPY_FROM_REF,
+    CODE_REPEAT_FROM_DIFF,
     INDEX_RECORD,
     EncoderConfig,
     EncoderMode,
     Frame,
     FrameDelta,
     GeometryMismatch,
-    IndexCode,
     EQUAL_FRAMES_DELTA,
 )
 
@@ -116,8 +118,8 @@ def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -
     entry_counts = np.add.reduceat(run_lengths, entry_runs)
     entry_codes = np.where(
         repeat[entry_runs],
-        np.int8(IndexCode.REPEAT_FROM_DIFF),
-        np.int8(IndexCode.COPY_FROM_DIFF),
+        np.int8(CODE_REPEAT_FROM_DIFF),
+        np.int8(CODE_COPY_FROM_DIFF),
     )
 
     # A repeat keeps only its first sample in the diff.
@@ -138,7 +140,7 @@ def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -
     opens = opens_stretch[entry_runs]
     slots = np.arange(len(entry_runs)) + np.cumsum(opens)
     records = np.empty(len(entry_runs) + len(gaps) + 1, dtype=INDEX_RECORD)
-    records["code"] = IndexCode.COPY_FROM_REF
+    records["code"] = CODE_COPY_FROM_REF
     records["count"][slots[opens] - 1] = gaps
     records["count"][-1] = tail
     records["code"][slots] = entry_codes

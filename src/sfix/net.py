@@ -6,8 +6,12 @@ clients; one writer thread per client drains its bounded queue.  A client
 that cannot keep up is disconnected rather than stalling the pipeline.
 
 A client joining mid-stream is bootstrapped with HELLO plus a REF_FRAME
-snapshot of the current reference, taken at a frame boundary, after which
-it receives the same deltas as everyone else.
+snapshot of the reference current when it connected, after which it
+receives the same deltas as everyone else.  The snapshot is compressed by
+the joiner's own writer thread with no lock held: the acceptor only queues
+a token for it, so a join never stalls the broadcast to the other clients,
+and the deltas broadcast meanwhile wait in the joiner's bounded outbox like
+any other client's.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .decode import decode_delta
 from .encode import advance_reference, encode_delta
 from .ingest import SourceError, VideoSource
 from .wirecodec import (
+    OPENING_LIMITS,
     Delta,
     End,
     Hello,
@@ -39,6 +44,7 @@ from .wirecodec import (
     message_to_delta,
     message_to_samples,
     parse_message,
+    payload_limits,
     samples_to_message,
     wire_size,
 )
@@ -85,6 +91,7 @@ class ServeReport:
     frames_encoded: int = 0
     encode_calls: int = 0
     serialize_calls: int = 0
+    snapshot_calls: int = 0  # keyframes compressed for joining clients
     clients_total: int = 0
     clients_dropped: int = 0
 
@@ -105,6 +112,19 @@ class _Client:
     peer: str
     writer: Optional[threading.Thread] = None
     dropped: bool = field(default=False)
+
+
+@dataclass(frozen=True)
+class _Bootstrap:
+    """Outbox token: send HELLO, then a REF_FRAME of `ref` if there is one.
+
+    The writer thread compresses the keyframe when it dequeues the token, so
+    the broadcast lock is never held around it.  `Frame` is immutable, so
+    holding the reference here is safe while the broadcast moves on.
+    """
+
+    ref_no: int
+    ref: Optional[Frame]
 
 
 class StreamServer:
@@ -201,15 +221,11 @@ class StreamServer:
             if self._closing:
                 client.outbox.put(None)  # the writer stops and closes the socket
                 return
-            # bootstrap inside the lock: the reference snapshot and the
-            # client's first delta must sit on the same frame boundary
-            client.outbox.put(self._hello_blob)
-            if self._reference is not None:
-                snapshot = samples_to_message(self._ref_no, self._reference.samples)
-                client.outbox.put(frame_message(snapshot))
+            # the token and the client's first delta sit on the same frame
+            # boundary; the outbox is empty, so the token always fits
+            client.outbox.put_nowait(_Bootstrap(self._ref_no, self._reference))
             self._clients.append(client)
             self.report.clients_total += 1
-        log.info("client %s joined at frame %d", peer, self._ref_no)
 
     def _write_loop(self, client: _Client) -> None:
         try:
@@ -217,11 +233,30 @@ class StreamServer:
                 blob = client.outbox.get()
                 if blob is None:
                     return
+                if isinstance(blob, _Bootstrap):
+                    client.sock.sendall(self._hello_blob)
+                    blob = self._keyframe(client, blob)
                 client.sock.sendall(blob)
         except OSError:
             client.dropped = True
         finally:
             client.sock.close()
+
+    def _keyframe(self, client: _Client, token: _Bootstrap) -> bytes:
+        """The joiner's REF_FRAME; runs on its writer thread with no lock held."""
+        if token.ref is None:
+            log.info("client %s joined before the first frame", client.peer)
+            return b""
+        started = time.perf_counter()
+        blob = frame_message(samples_to_message(token.ref_no, token.ref.samples))
+        compress_ms = (time.perf_counter() - started) * 1e3
+        with self._lock:
+            self.report.snapshot_calls += 1
+        log.info(
+            "client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
+            client.peer, token.ref_no, len(blob), compress_ms,
+        )
+        return blob
 
     def _drop(self, client: _Client) -> None:
         # caller holds the lock; closing the socket unblocks the writer
@@ -385,7 +420,7 @@ def receive(
     rows: list[FrameMetrics] = []
     with sock, sock.makefile("rb") as stream:
         sock.settimeout(timeout)
-        msg = parse_message(stream)
+        msg = parse_message(stream, OPENING_LIMITS)
         if not isinstance(msg, Hello):
             raise ProtocolViolation(f"first message must be HELLO, got {type(msg).__name__}")
         geometry = msg.geometry
@@ -396,10 +431,11 @@ def receive(
         if on_hello is not None:
             on_hello(msg)
 
+        limits = payload_limits(geometry)
         reference: Optional[Frame] = None
         expected_no = 0
         while True:
-            msg = parse_message(stream)
+            msg = parse_message(stream, limits)
             if isinstance(msg, End):
                 break
             if isinstance(msg, Hello):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -88,6 +88,10 @@ class PayloadLengthMismatch(WireFormatError):
 
 class UnsupportedVersion(WireFormatError):
     """Container version byte this implementation does not understand."""
+
+
+class PayloadTooLarge(WireFormatError):
+    """A message header declares more payload than the session geometry allows."""
 
 
 @dataclass(frozen=True)
@@ -164,49 +168,37 @@ def decompress(data: bytes, expected_raw_len: int) -> bytes:
     return out
 
 
-def _build_payload(msg: StreamMessage) -> tuple[int, bytes]:
+def _payload_parts(msg: StreamMessage) -> tuple[int, tuple[bytes, ...]]:
     if isinstance(msg, Hello):
         g = msg.geometry
         flags = 0x01 if msg.baseline else 0x00
-        return MSG_HELLO, _HELLO_PAYLOAD.pack(
-            g.width, g.height, g.channels, msg.fps_num, msg.fps_den, flags
+        return MSG_HELLO, (
+            _HELLO_PAYLOAD.pack(g.width, g.height, g.channels, msg.fps_num, msg.fps_den, flags),
         )
     if isinstance(msg, RefFrame):
-        return MSG_REF_FRAME, struct.pack("<II", msg.frame_no, msg.raw_len) + msg.payload
+        return MSG_REF_FRAME, (struct.pack("<II", msg.frame_no, msg.raw_len), msg.payload)
     if isinstance(msg, Delta):
-        return MSG_DELTA, b"".join(
-            (
-                struct.pack("<I", msg.frame_no),
-                struct.pack("<II", msg.index_raw_len, len(msg.index_payload)),
-                msg.index_payload,
-                struct.pack("<II", msg.diff_raw_len, len(msg.diff_payload)),
-                msg.diff_payload,
-            )
+        return MSG_DELTA, (
+            struct.pack("<III", msg.frame_no, msg.index_raw_len, len(msg.index_payload)),
+            msg.index_payload,
+            struct.pack("<II", msg.diff_raw_len, len(msg.diff_payload)),
+            msg.diff_payload,
         )
     if isinstance(msg, End):
-        return MSG_END, b""
+        return MSG_END, ()
     raise TypeError(f"not a stream message: {msg!r}")
 
 
 def frame_message(msg: StreamMessage) -> bytes:
-    """Frame one message as header + payload bytes."""
-    msg_type, payload = _build_payload(msg)
-    return _MSG_HEADER.pack(msg_type, len(payload)) + payload
+    """Frame one message as header + payload bytes, copying each payload once."""
+    msg_type, parts = _payload_parts(msg)
+    header = _MSG_HEADER.pack(msg_type, sum(map(len, parts)))
+    return b"".join((header, *parts))
 
 
 def wire_size(msg: StreamMessage) -> int:
     """Framed size of a message in bytes, from its field lengths."""
-    if isinstance(msg, Hello):
-        payload_len = _HELLO_PAYLOAD.size
-    elif isinstance(msg, RefFrame):
-        payload_len = 8 + len(msg.payload)
-    elif isinstance(msg, Delta):
-        payload_len = 20 + len(msg.index_payload) + len(msg.diff_payload)
-    elif isinstance(msg, End):
-        payload_len = 0
-    else:
-        raise TypeError(f"not a stream message: {msg!r}")
-    return _MSG_HEADER.size + payload_len
+    return _MSG_HEADER.size + sum(map(len, _payload_parts(msg)[1]))
 
 
 def check_declared_lengths(msg: StreamMessage, geometry: FrameGeometry) -> None:
@@ -232,6 +224,39 @@ def check_declared_lengths(msg: StreamMessage, geometry: FrameGeometry) -> None:
             )
         if msg.diff_raw_len > total:
             raise LengthMismatch(f"diff raw length {msg.diff_raw_len} exceeds {total} samples")
+
+
+def _deflate_bound(n: int) -> int:
+    """A generous cap on a DEFLATE stream of n bytes from any conforming encoder.
+
+    Stored blocks cost 5 bytes per 64 KiB and zlib's compressBound adds
+    about n/4096; n/8 + 64 KiB leaves room for other encoders while still
+    keeping a declared length to a small multiple of the frame size.
+    """
+    return n + (n >> 3) + (64 << 10)
+
+
+def payload_limits(geometry: FrameGeometry) -> dict[int, int]:
+    """Largest payload_len of each message type accepted in a session of this geometry.
+
+    A REF_FRAME holds one compressed frame and a DELTA an index of at most
+    one record per sample plus a diff of at most one byte per sample, each
+    compressed; these bound what the peer may declare before any read.
+    """
+    total = geometry.total_samples
+    return {
+        MSG_HELLO: _HELLO_PAYLOAD.size,
+        MSG_REF_FRAME: 8 + _deflate_bound(total),
+        MSG_DELTA: 20 + _deflate_bound(INDEX_ENTRY_SIZE * total) + _deflate_bound(total),
+        MSG_END: 0,
+    }
+
+
+# Before HELLO no geometry is known.  A session must open with HELLO, so the
+# opening message of any type may declare at most 64 KiB: every HELLO fits,
+# a small misplaced message still reaches its caller's ordering check, and
+# a hostile length sizes no large allocation.
+OPENING_LIMITS = {t: 64 << 10 for t in (MSG_HELLO, MSG_REF_FRAME, MSG_DELTA, MSG_END)}
 
 
 def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
@@ -278,7 +303,10 @@ def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
 
 
 def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    chunks = bytearray()
+    data = stream.read(n)
+    if len(data) == n:
+        return data  # a buffered stream's read(n) is usually whole: no further copy
+    chunks = bytearray(data)
     while len(chunks) < n:
         chunk = stream.read(n - len(chunks))
         if not chunk:
@@ -287,9 +315,22 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes:
     return bytes(chunks)
 
 
-def parse_message(stream: BinaryIO) -> StreamMessage:
-    """Read exactly one framed message from a binary stream."""
+def parse_message(stream: BinaryIO, limits: Optional[dict[int, int]] = None) -> StreamMessage:
+    """Read exactly one framed message from a binary stream.
+
+    With `limits` (see payload_limits), a header that declares more payload
+    than its type may carry is rejected before any of the payload is read,
+    so the declared length never sizes an allocation.
+    """
     msg_type, payload_len = _MSG_HEADER.unpack(_read_exact(stream, _MSG_HEADER.size))
+    if limits is not None:
+        if msg_type not in limits:
+            raise UnknownType(f"message type 0x{msg_type:02x} is not assigned")
+        if payload_len > limits[msg_type]:
+            raise PayloadTooLarge(
+                f"message type 0x{msg_type:02x} declares {payload_len} payload bytes,"
+                f" the session allows at most {limits[msg_type]}"
+            )
     payload = _read_exact(stream, payload_len) if payload_len else b""
     return _decode_payload(msg_type, payload)
 
@@ -362,7 +403,12 @@ def write_container(stream: BinaryIO, messages: Iterable[StreamMessage]) -> int:
 
 
 def read_container(stream: BinaryIO) -> Iterator[StreamMessage]:
-    """Yield the message stream of a `.sfix` container, END inclusive."""
+    """Yield the message stream of a `.sfix` container, END inclusive.
+
+    Each message header is checked before its payload is read: the opening
+    one against OPENING_LIMITS, the rest against the payload_limits of the
+    HELLO's geometry.
+    """
     try:
         header = _read_exact(stream, len(SFIX_MAGIC) + 1)
     except TruncatedMessage:
@@ -372,8 +418,9 @@ def read_container(stream: BinaryIO) -> Iterator[StreamMessage]:
     version = header[len(SFIX_MAGIC)]
     if version != SFIX_VERSION:
         raise UnsupportedVersion(f"unsupported container version {version}")
-    while True:
-        msg = parse_message(stream)
+    msg = parse_message(stream, OPENING_LIMITS)
+    yield msg
+    limits = payload_limits(msg.geometry) if isinstance(msg, Hello) else OPENING_LIMITS
+    while not isinstance(msg, End):
+        msg = parse_message(stream, limits)
         yield msg
-        if isinstance(msg, End):
-            return

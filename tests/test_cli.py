@@ -2,9 +2,11 @@
 
 import io
 import os
+import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -221,6 +223,32 @@ class TestEncodeDecode:
         rc = cli.main(["decode", "--input", str(path), "--output", str(tmp_path / "o.y4m")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opening", [False, True], ids=["first", "after-hello"])
+    def test_hostile_payload_length_allocates_nothing(self, tmp_path, capsys, opening):
+        from sfix import wirecodec as wc
+        from sfix.core import FrameGeometry
+
+        # a REF_FRAME on a 4x2 session, or any message before HELLO, is far smaller
+        declared = 32 << 20
+        path = tmp_path / "hostile.sfix"
+        with open(path, "wb") as fh:
+            wc.write_container(fh, [wc.Hello(FrameGeometry(4, 2), 25, 1)] if opening else [])
+            msg_type = wc.MSG_REF_FRAME if opening else wc.MSG_HELLO
+            fh.write(struct.pack("<BI", msg_type, declared) + bytes(16))
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh, pytest.raises(wc.PayloadTooLarge):
+                _, frames = cli._replay_container(fh)
+                list(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < declared // 8
+        rc = cli.main(["decode", "--input", str(path), "--output", str(tmp_path / "o.y4m")])
+        assert rc == 1
+        assert f"declares {declared} payload bytes" in capsys.readouterr().err
+
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):

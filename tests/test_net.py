@@ -4,9 +4,12 @@ Deterministic tests drive StreamServer.send_next_frame() manually so client
 joins happen at exact frame boundaries; pacing is covered separately.
 """
 
+import io
 import socket
+import struct
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +57,13 @@ class Receiver:
             )
         except Exception as exc:  # surfaced by join()
             self.error = exc
+
+    def samples_seen(self, n, timeout=5.0):
+        """Whether n frames have arrived, waiting up to timeout for them."""
+        deadline = time.monotonic() + timeout
+        while len(self.samples) < n and time.monotonic() < deadline:
+            time.sleep(0.002)
+        return len(self.samples) >= n
 
     def join(self):
         self._thread.join(timeout=15.0)
@@ -203,6 +213,182 @@ class TestLoopbackStreaming:
         assert report.clients_total == 0
 
 
+class CompressionGate:
+    """Stands in for net.samples_to_message: each call waits until open()."""
+
+    def __init__(self, monkeypatch):
+        self.entered = threading.Event()
+        self._open = threading.Event()
+        compress = net.samples_to_message
+
+        def gated(*args):
+            self.entered.set()
+            self._open.wait(10.0)
+            return compress(*args)
+
+        monkeypatch.setattr(net, "samples_to_message", gated)
+
+    def open(self):
+        self._open.set()
+
+
+def completes(fn, timeout=5.0):
+    """Whether fn() returns within timeout; it runs on a daemon thread."""
+    worker = threading.Thread(target=fn, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    return not worker.is_alive()
+
+
+def send_frames(server, n):
+    return lambda: [server.send_next_frame() for _ in range(n)]
+
+
+class TestJoinPath:
+    """The joiner's keyframe is compressed by its own writer, with no lock held."""
+
+    def test_broadcast_runs_while_a_joiner_compresses(self, monkeypatch):
+        frames = synth_frames(20, seed=13)
+        server = net.StreamServer(make_source(frames)).start()
+        gate = None
+        try:
+            early = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            assert completes(send_frames(server, 6))  # frames 0..5
+            gate = CompressionGate(monkeypatch)
+            late = Receiver(server.address)
+            assert gate.entered.wait(5.0)
+            # frames 6..9 go out while the joiner's keyframe is still
+            # compressing; under a held lock they would wait out the gate
+            assert completes(send_frames(server, 4), timeout=2.0)
+            assert early.samples_seen(10)
+            gate.open()
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            if gate is not None:
+                gate.open()
+            server.close()
+        late_report = late.join()
+        assert early.join().frames_received == 20
+        assert early.samples == [f.samples for f in frames]
+        assert late_report.first_frame_no == 5
+        assert late.samples == [f.samples for f in frames[5:]]
+        assert report.snapshot_calls == 1
+        assert report.clients_total == 2
+        assert report.clients_dropped == 0
+
+    def test_joiners_get_the_reference_keyframe(self):
+        frames = synth_frames(10, seed=17)
+        server = net.StreamServer(make_source(frames)).start()
+        joiners = []
+        try:
+            assert completes(send_frames(server, 4))  # frames 0..3
+            joiners = [socket.create_connection(server.address, timeout=10.0) for _ in range(2)]
+            assert server.wait_for_clients(2)
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+            streams = [j.makefile("rb").read() for j in joiners]
+        finally:
+            for joiner in joiners:
+                joiner.close()
+            server.close()
+        assert report.snapshot_calls == 2  # one compression per joiner
+        assert report.clients_total == 2
+        hello = wc.frame_message(wc.Hello(frames[0].geometry, 25, 1))
+        keyframe = wc.frame_message(wc.samples_to_message(3, frames[3].samples))
+        for data in streams:
+            assert data.startswith(hello + keyframe)
+            stream = io.BytesIO(data[len(hello) + len(keyframe):])
+            numbers = [wc.parse_message(stream).frame_no for _ in range(6)]
+            assert numbers == [4, 5, 6, 7, 8, 9]
+            assert wc.parse_message(stream) == wc.End()
+
+    def test_overflowing_outbox_drops_only_the_joiner(self, monkeypatch):
+        frames = synth_frames(12, seed=19)
+        server = net.StreamServer(make_source(frames), queue_size=4).start()
+        gate = None
+        try:
+            early = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            assert completes(send_frames(server, 3))  # frames 0..2
+            gate = CompressionGate(monkeypatch)
+            late = Receiver(server.address)
+            assert gate.entered.wait(5.0)
+            # four deltas fill the joiner's 4-slot outbox while its keyframe
+            # compresses; the fifth finds its writer busy past the grace
+            assert completes(send_frames(server, 5))
+            assert server.client_count == 1
+            gate.open()
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            if gate is not None:
+                gate.open()
+            server.close()
+        with pytest.raises(wc.TruncatedMessage):  # HELLO, then the socket closed
+            late.join()
+        assert early.join().frames_received == 12
+        assert early.samples == [f.samples for f in frames]
+        assert report.clients_total == 2
+        assert report.clients_dropped == 1
+
+    def test_finish_delivers_end_to_a_join_in_flight(self, monkeypatch):
+        failures = []
+        monkeypatch.setattr(threading, "excepthook", failures.append)
+        frames = synth_frames(6, seed=23)
+        server = net.StreamServer(make_source(frames)).start()
+        gate = None
+        try:
+            assert completes(send_frames(server, 3))  # frames 0..2
+            gate = CompressionGate(monkeypatch)
+            late = Receiver(server.address)
+            assert gate.entered.wait(5.0)
+            finisher = threading.Thread(target=server.finish, daemon=True)
+            finisher.start()
+            gate.open()
+            finisher.join(5.0)
+            assert not finisher.is_alive()
+        finally:
+            if gate is not None:
+                gate.open()
+            server.close()
+        late_report = late.join()
+        assert late_report.first_frame_no == 2
+        assert late.samples == [frames[2].samples]
+        assert server.report.clients_dropped == 0
+        assert failures == []
+
+    def test_join_during_an_unpaced_burst(self):
+        frames = synth_frames(120, seed=29)
+        server = None
+
+        def admit_late_client(frame_no):
+            if frame_no == 30:  # the burst resumes as soon as the joiner is listed
+                late.append(Receiver(server.address))
+                assert server.wait_for_clients(2)
+
+        late = []
+        server = net.StreamServer(make_source(frames), on_frame=admit_late_client).start()
+        try:
+            early = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            server.close()
+        late_report = late[0].join()
+        assert early.join().frames_received == 120
+        assert early.samples == [f.samples for f in frames]
+        assert late_report.first_frame_no == 30
+        assert late[0].samples == [f.samples for f in frames[30:]]
+        assert report.clients_dropped == 0
+
+
 class TestBackPressure:
     def test_stalled_client_dropped_and_stream_continues(self):
         # 48 KiB of noise per frame swamps the socket buffers of a client
@@ -303,6 +489,21 @@ class TestProtocolPolicing:
         with pytest.raises(net.DecodeFailure) as failure:
             net.receive(address, timeout=5.0)
         assert isinstance(failure.value.__cause__, cause)
+
+    @pytest.mark.parametrize("opening", [[], [HELLO]], ids=["first", "after-hello"])
+    def test_hostile_payload_length_allocates_nothing(self, opening):
+        # a DELTA on a 4x2 session, or any message before HELLO, is far smaller
+        declared = 32 << 20
+        header = struct.pack("<BI", wc.MSG_DELTA if opening else wc.MSG_HELLO, declared)
+        address = scripted_server(opening + [header + bytes(16)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(wc.PayloadTooLarge):
+                net.receive(address, timeout=5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < declared // 8
 
     def test_reference_geometry_mismatch_is_decode_failure(self):
         short_ref = wc.frame_message(wc.samples_to_message(0, bytes(4)))

@@ -1,6 +1,7 @@
 """Wire format: exact byte layouts, round trips, and corruption handling."""
 
 import io
+import random
 import struct
 import zlib
 
@@ -195,6 +196,41 @@ class TestParseMessage:
         grown = good[:1] + struct.pack("<I", len(good) - 5 + 1) + good[5:] + b"\x00"
         with pytest.raises(wc.PayloadLengthMismatch):
             wc.parse_message(io.BytesIO(grown))
+
+
+class TestPayloadLimits:
+    GEOM = FrameGeometry(16, 16, 3)
+
+    def test_incompressible_messages_fit(self):
+        # random bytes are the worst case for compress(): the longest payloads
+        rng = random.Random(5)
+        total = self.GEOM.total_samples
+        noise = rng.randbytes(total)
+        index = rng.randbytes(wc.INDEX_ENTRY_SIZE * total)
+        messages = [
+            wc.Hello(self.GEOM, 25, 1),
+            wc.samples_to_message(0, noise),
+            wc.Delta(1, len(index), wc.compress(index), total, wc.compress(noise)),
+            wc.End(),
+        ]
+        limits = wc.payload_limits(self.GEOM)
+        for msg in messages:
+            assert wc.parse_message(io.BytesIO(wc.frame_message(msg)), limits) == msg
+
+    @pytest.mark.parametrize("msg_type", [wc.MSG_HELLO, wc.MSG_REF_FRAME, wc.MSG_DELTA, wc.MSG_END])
+    def test_header_past_the_limit_rejected_before_its_payload(self, msg_type):
+        limit = wc.payload_limits(self.GEOM)[msg_type]
+        at_limit = io.BytesIO(struct.pack("<BI", msg_type, limit))
+        if limit:  # a legal length is read: the missing payload is a truncation
+            with pytest.raises(wc.TruncatedMessage):
+                wc.parse_message(at_limit, wc.payload_limits(self.GEOM))
+        past = io.BytesIO(struct.pack("<BI", msg_type, limit + 1))
+        with pytest.raises(wc.PayloadTooLarge):
+            wc.parse_message(past, wc.payload_limits(self.GEOM))
+
+    def test_unassigned_type_rejected_before_its_payload(self):
+        with pytest.raises(wc.UnknownType):
+            wc.parse_message(io.BytesIO(b"\x07\xff\xff\xff\xff"), wc.payload_limits(self.GEOM))
 
 
 geometries = st.builds(
