@@ -47,14 +47,6 @@ class LoneEqualViolated(InvalidDelta):
     """An equal-frames marker appears alongside other entries or diff data."""
 
 
-class DiffExhausted(CodecError):
-    """Decoder ran out of difference-buffer samples mid-entry."""
-
-
-class CursorOverrun(CodecError):
-    """Decoder output cursor moved past the end of the frame."""
-
-
 class IndexCode(IntEnum):
     """Wire-level instruction codes for the index buffer.
 

@@ -17,6 +17,15 @@ with np.frombuffer.  Buffer
 compression is the DEFLATE algorithm in a zlib wrapper, whose adler32 is
 the only integrity check on the wire.
 
+compress() picks how to deflate from the buffer itself.  A buffer of at
+most 4 KiB is deflated at COMPRESSION_LEVEL.  A larger one is sampled
+first: 8 windows of 512 bytes spread evenly across it, deflated at level
+1.  If the sample shrinks by less than 2%, the buffer (noise, say) is
+written as stored blocks (RFC 1951 section 3.2.4), which cost 5 bytes per
+64 KiB and no search; otherwise it is deflated at COMPRESSION_LEVEL.  The
+choice reads only the input bytes, so the same input still gives the same
+stream, and every inflater reads stored blocks, so readers need no change.
+
 The `.sfix` container is magic "SFIX", a version byte, then one session's
 message stream verbatim: HELLO first, END last.
 """
@@ -51,7 +60,15 @@ MSG_END = 0x04
 SFIX_MAGIC = b"SFIX"
 SFIX_VERSION = 1
 
-COMPRESSION_LEVEL = 6  # fixed so identical inputs produce identical streams
+# Fixed, like the store-or-deflate choice, so identical inputs produce
+# identical streams.
+COMPRESSION_LEVEL = 6
+_PROBE_ABOVE = 4 << 10  # buffers up to this size are deflated unsampled
+_PROBE_WINDOWS = 8
+_PROBE_WINDOW = 512
+_STORED_BLOCK = 0xFFFF  # a stored block's LEN field is 16 bits
+_STORED_BLOCK_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
+_ZLIB_STORED_HEADER = b"\x78\x01"  # RFC 1950: deflate, 32 KiB window, FLEVEL 0
 
 
 class WireFormatError(Exception):
@@ -106,16 +123,16 @@ class Hello:
 class RefFrame:
     frame_no: int
     raw_len: int
-    payload: bytes  # compressed samples
+    payload: Union[bytes, memoryview]  # compressed samples
 
 
 @dataclass(frozen=True)
 class Delta:
     frame_no: int
     index_raw_len: int
-    index_payload: bytes  # compressed serialized index
+    index_payload: Union[bytes, memoryview]  # compressed serialized index
     diff_raw_len: int
-    diff_payload: bytes  # compressed difference buffer
+    diff_payload: Union[bytes, memoryview]  # compressed difference buffer
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,32 @@ def deserialize_index(data: bytes) -> np.ndarray:
 
 
 def compress(data: bytes) -> bytes:
+    """A zlib stream of `data`: stored blocks if a sample barely deflates, else level 6."""
+    if len(data) > _PROBE_ABOVE and _barely_deflates(data):
+        return _stored(data)
     return zlib.compress(data, COMPRESSION_LEVEL)
+
+
+def _barely_deflates(data: bytes) -> bool:
+    """Whether evenly spread windows of `data` shrink by under 2% at level 1."""
+    view = memoryview(data)
+    step = (len(view) - _PROBE_WINDOW) // (_PROBE_WINDOWS - 1)
+    sample = b"".join(
+        view[i * step:i * step + _PROBE_WINDOW] for i in range(_PROBE_WINDOWS)
+    )
+    return len(zlib.compress(sample, 1)) * 50 > len(sample) * 49
+
+
+def _stored(data: bytes) -> bytes:
+    """`data` as a zlib stream of stored DEFLATE blocks, 5 bytes per 64 KiB block."""
+    view = memoryview(data)
+    parts = [_ZLIB_STORED_HEADER]
+    for start in range(0, len(view), _STORED_BLOCK):
+        block = view[start:start + _STORED_BLOCK]
+        final = start + _STORED_BLOCK >= len(view)
+        parts += (_STORED_BLOCK_HEADER.pack(final, len(block), len(block) ^ 0xFFFF), block)
+    parts.append(zlib.adler32(data).to_bytes(4, "big"))
+    return b"".join(parts)
 
 
 def decompress(data: bytes, expected_raw_len: int) -> bytes:
@@ -260,6 +302,7 @@ OPENING_LIMITS = {t: 64 << 10 for t in (MSG_HELLO, MSG_REF_FRAME, MSG_DELTA, MSG
 
 
 def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
+    """Decode one payload; compressed fields are memoryviews into `payload`, not copies."""
     if msg_type == MSG_HELLO:
         if len(payload) != _HELLO_PAYLOAD.size:
             raise PayloadLengthMismatch(
@@ -275,11 +318,12 @@ def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
         if len(payload) < 8:
             raise PayloadLengthMismatch("REF_FRAME payload shorter than its header")
         frame_no, raw_len = struct.unpack_from("<II", payload)
-        return RefFrame(frame_no, raw_len, payload[8:])
+        return RefFrame(frame_no, raw_len, memoryview(payload)[8:])
     if msg_type == MSG_DELTA:
         if len(payload) < 12:
             raise PayloadLengthMismatch("DELTA payload shorter than its header")
         (frame_no,) = struct.unpack_from("<I", payload)
+        view = memoryview(payload)
         pos = 4
         parts = []
         for label in ("index", "diff"):
@@ -289,7 +333,7 @@ def _decode_payload(msg_type: int, payload: bytes) -> StreamMessage:
             pos += 8
             if pos + comp_len > len(payload):
                 raise PayloadLengthMismatch(f"DELTA {label} payload truncated")
-            parts.append((raw_len, payload[pos:pos + comp_len]))
+            parts.append((raw_len, view[pos:pos + comp_len]))
             pos += comp_len
         if pos != len(payload):
             raise PayloadLengthMismatch(f"{len(payload) - pos} stray bytes after DELTA payload")

@@ -1,9 +1,12 @@
 """Wire format: exact byte layouts, round trips, and corruption handling."""
 
 import io
+import math
 import random
 import struct
+import tracemalloc
 import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIFF, GOLDEN_INDEX
 from sfix.core import FrameDelta, FrameGeometry, IndexCode, IndexEntry
+from sfix.ingest import SynthParams, gen_low_motion
 from sfix import wirecodec as wc
 
 
@@ -90,6 +94,54 @@ class TestCompression:
         data = wc.compress(b"abc") + b"XX"
         with pytest.raises(wc.CorruptStream):
             wc.decompress(data, 3)
+
+
+class TestCompressionPolicy:
+    """compress() stores what a level-1 sample says DEFLATE cannot shrink."""
+
+    @pytest.mark.parametrize("n", [4097, 65535, 65536, 200_003])
+    def test_noise_above_the_probe_size_is_stored(self, n):
+        data = random.Random(n).randbytes(n)
+        out = wc.compress(data)
+        assert (out[2] >> 1) & 0b11 == 0  # first block's BTYPE: stored
+        assert len(out) <= n + 5 * math.ceil(n / 65535) + 6
+        assert wc.decompress(out, n) == data
+        assert zlib.decompress(out) == data
+
+    def test_noise_prefix_does_not_hide_a_constant_body(self):
+        data = random.Random(3).randbytes(64 << 10) + bytes(512 << 10)
+        out = wc.compress(data)
+        assert len(out) < len(data) // 2
+        assert wc.decompress(out, len(data)) == data
+
+    @pytest.mark.parametrize("n", [0, 1, 300, 4096])
+    def test_small_buffers_are_deflated_at_level_6(self, n):
+        for data in (random.Random(n).randbytes(n), bytes(n)):
+            assert wc.compress(data) == zlib.compress(data, 6)
+
+    def test_same_input_same_bytes(self):
+        for data in (random.Random(9).randbytes(100_000), bytes(range(256)) * 400):
+            assert wc.compress(data) == wc.compress(bytes(bytearray(data)))
+
+    def test_buried_keyframe_is_stored_only_while_incompressible(self):
+        # hd_light-style clip: a noise frame 0 buried block by block under
+        # constant blocks, so each frame deflates a little better than the last
+        params = SynthParams(
+            seed=7, n_frames=60, width=256, height=216, block_count=6, block_size=8,
+            fill_mode="constant", change_fraction=0.1, fps=Fraction(25),
+        )
+        seen = set()
+        for frame_no, frame in enumerate(gen_low_motion(params)):
+            samples = frame.samples
+            level6 = zlib.compress(samples, 6)
+            stored = wc.compress(samples) != level6
+            if len(level6) <= 0.9 * len(samples):
+                assert not stored, frame_no
+                seen.add("deflated")
+            elif len(level6) > 0.99 * len(samples):
+                assert stored, frame_no
+                seen.add("stored")
+        assert seen == {"stored", "deflated"}
 
 
 class TestMessageFraming:
@@ -196,6 +248,35 @@ class TestParseMessage:
         grown = good[:1] + struct.pack("<I", len(good) - 5 + 1) + good[5:] + b"\x00"
         with pytest.raises(wc.PayloadLengthMismatch):
             wc.parse_message(io.BytesIO(grown))
+
+
+class TestParseCopies:
+    """Parsing holds one copy of a payload: fields are views, not slices."""
+
+    @staticmethod
+    def _parse_peak(msg):
+        framed = wc.frame_message(msg)
+        stream = io.BytesIO(framed)
+        tracemalloc.start()
+        try:
+            parsed = wc.parse_message(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == msg
+        return peak, len(framed) - 5
+
+    def test_keyframe(self):
+        rng = random.Random(1)
+        peak, payload = self._parse_peak(wc.samples_to_message(0, rng.randbytes(3 << 20)))
+        assert peak <= 1.1 * payload
+
+    def test_delta(self):
+        rng = random.Random(2)
+        msg = wc.Delta(1, 1 << 20, wc.compress(rng.randbytes(1 << 20)),
+                       2 << 20, wc.compress(rng.randbytes(2 << 20)))
+        peak, payload = self._parse_peak(msg)
+        assert peak <= 1.1 * payload
 
 
 class TestPayloadLimits:
