@@ -76,6 +76,13 @@ def unassigned_codes(code: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~_IS_ASSIGNED[code])
 
 
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions [s, s + n) for each start s and length n, concatenated in order."""
+    positions = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    positions += np.arange(len(positions))
+    return positions
+
+
 class EncoderMode(Enum):
     SPATIO_TEMPORAL = "spatio"
     STANDARD_BASELINE = "standard"

@@ -2,14 +2,15 @@
 
 A delta is validated before any output is produced; a validated delta's
 counts tile the frame and consume the difference buffer exactly, so the
-replay is two whole-array steps instead of a cursor walk:
+replay is a few whole-array steps instead of a cursor walk:
 
 * the output starts as a copy of the reference, which already holds every
   COPY_FROM_REF run (positional, never searched);
-* the positions of the other entries' runs, built with np.repeat from the
-  cumulative counts, take the difference buffer expanded by np.repeat: a
-  COPY_FROM_DIFF sample once, a REPEAT_FROM_DIFF entry's single sample
-  `count` times.
+* the difference buffer is scattered as is: a COPY_FROM_DIFF entry's
+  samples over its run, a REPEAT_FROM_DIFF entry's single sample onto the
+  first position of its run;
+* each repeat's first sample is then copied over the rest of its run, so
+  only REPEAT_FROM_DIFF entries are expanded.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    CODE_COPY_FROM_DIFF,
     CODE_COPY_FROM_REF,
     CODE_EQUAL_FRAMES,
     CODE_REPEAT_FROM_DIFF,
     Frame,
     FrameDelta,
+    concat_ranges,
     validate_delta,
 )
 
@@ -31,19 +32,16 @@ def _replay(ref_samples: bytes, records: np.ndarray, diff: bytes) -> np.ndarray:
     """Samples a validated, non-EQUAL_FRAMES index produces, as a uint8 array."""
     code = records["code"]
     count = records["count"].astype(np.int64)
+    starts = np.cumsum(count) - count
     repeat = code == CODE_REPEAT_FROM_DIFF
-    # How many output positions each diff sample fills.
-    consumed = np.where(code == CODE_COPY_FROM_DIFF, count, repeat)
-    reps = np.ones(len(diff), dtype=np.int64)
-    reps[(np.cumsum(consumed) - consumed)[repeat]] = count[repeat]
-    # The output positions of the diff-fed entries, in order.
     from_diff = code != CODE_COPY_FROM_REF
-    lengths = count[from_diff]
-    starts = (np.cumsum(count) - count)[from_diff]
-    positions = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    positions += np.arange(len(positions))
+    # How many output positions each entry takes straight from the diff.
+    width = np.where(repeat, 1, count)
     out = np.frombuffer(ref_samples, dtype=np.uint8).copy()
-    out[positions] = np.repeat(np.frombuffer(diff, dtype=np.uint8), reps)
+    out[concat_ranges(starts[from_diff], width[from_diff])] = np.frombuffer(diff, dtype=np.uint8)
+    first = starts[repeat]
+    rest = count[repeat] - 1
+    out[concat_ranges(first + 1, rest)] = np.repeat(out[first], rest)
     return out
 
 

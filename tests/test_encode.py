@@ -25,6 +25,7 @@ from sfix.core import (
     validate_delta,
 )
 from sfix import wirecodec
+from sfix.ingest import SynthParams, gen_low_motion
 from sfix.decode import decode_delta
 from sfix.encode import RunKind, RunSegment, advance_reference, encode_delta, segment_runs
 
@@ -235,11 +236,60 @@ def edge_pairs(min_run):
     for name, values in cases.items():
         geometry = FrameGeometry(len(values), 1)
         yield name, Frame(geometry, bytes(len(values))), Frame(geometry, bytes(values))
+    yield from _word_edge_pairs(m)
     rng = np.random.default_rng(m)
     geometry = FrameGeometry(5, 4, 3)
     ref = rng.integers(0, 3, geometry.total_samples, dtype=np.uint8)
     new = np.where(rng.random(geometry.total_samples) < 0.5, ref, rng.integers(0, 3, ref.size))
     yield "3-channel frame", Frame(geometry, ref.tobytes()), Frame(geometry, new.astype(np.uint8).tobytes())
+
+
+def _word_edge_pairs(m):
+    """Pairs at the edges of the 8-sample words the encoder compares.
+
+    The reference is all zeros unless a case says otherwise, so a sample
+    differs exactly where the new frame holds a non-zero value.
+    """
+
+    def pair(ref, new):
+        geometry = FrameGeometry(len(new), 1)
+        return Frame(geometry, bytes(ref)), Frame(geometry, bytes(new))
+
+    def changed(length, values):
+        new = [0] * length
+        for position, value in values.items():
+            new[position] = value
+        return pair([0] * length, new)
+
+    rng = np.random.default_rng(100 + m)
+    for length in (7, 8, 9, 15, 16, 17):
+        ref = rng.integers(0, 3, length, dtype=np.uint8)
+        new = np.where(rng.random(length) < 0.5, ref, rng.integers(0, 3, length, dtype=np.uint8))
+        yield f"length {length}, mixed", *pair(ref.tolist(), new.tolist())
+        yield f"length {length}, last sample differs", *changed(length, {length - 1: 9})
+        yield f"length {length}, all differ, one value", *pair([0] * length, [4] * length)
+    for offset in range(8):
+        yield f"one difference at word offset {offset}", *changed(24, {8 + offset: 7})
+        yield f"repeat from word offset {offset}", *changed(32, {8 + offset + k: 6 for k in range(m)})
+    yield "literal stretch across a word boundary", *changed(24, {k: k for k in range(5, 13)})
+    yield "repeat across a word boundary", *changed(24, {k: 3 for k in range(8 - m // 2 - 1, 8 + m)})
+    yield "repeat across two word boundaries", *changed(
+        40, {6: 1, **{k: 2 for k in range(7, 25)}, 25: 1}
+    )
+    yield "repeats meeting at a word boundary", *changed(
+        32, {**{k: 4 for k in range(8 - m, 8)}, **{k: 5 for k in range(8, 8 + m)}}
+    )
+    yield "stretch ends a word, next word unchanged", *changed(32, {6: 1, 7: 1, 16: 1, 17: 2})
+    yield "stretches at the last and first sample of adjacent words", *changed(24, {7: 1, 8: 2})
+    yield "difference only after the last whole word", *changed(19, {17: 8})
+    yield "whole tail differs", *changed(19, {16: 1, 17: 2, 18: 3})
+    yield "repeat in the tail", *changed(8 + m, {8 + k: 9 for k in range(m)})
+    yield "repeat into the tail", *changed(16 + m - 1, {15 + k: 9 for k in range(m)})
+    yield "one differing byte per word", *changed(64, {8 * w + w: w + 1 for w in range(8)})
+    yield "one differing byte per word, same value", *changed(
+        64, {8 * w + (w * 3) % 8: 1 for w in range(8)}
+    )
+    yield "equal neighbours across an equal gap", *changed(24, {k: 5 for k in range(24) if k != 8})
 
 
 @pytest.mark.parametrize("mode", list(EncoderMode))
@@ -255,3 +305,26 @@ def test_edge_shapes_match_oracle_and_round_trip(mode, min_run):
         assert decode_delta(ref, delta).samples == new.samples, name
         wired = wirecodec.message_to_delta(wirecodec.delta_to_message(1, delta))
         assert decode_delta(ref, wired).samples == new.samples, name
+
+
+@pytest.mark.parametrize("mode", list(EncoderMode))
+@pytest.mark.parametrize("fill", ["noise", "constant"])
+def test_block_clips_match_oracle(fill, mode):
+    """Clips shaped like the HD workloads, small enough for the loop oracle.
+
+    8-px blocks of noise or constant fill land at random offsets in a frame
+    whose length (99 x 41 = 4059) is not a multiple of 8.
+    """
+    params = SynthParams(
+        seed=17, n_frames=4, width=99, height=41, block_count=12, block_size=8,
+        fill_mode=fill, change_fraction=0.3,
+    )
+    frames = list(gen_low_motion(params))
+    assert frames[0].geometry.total_samples % 8
+    oracle_run = None if mode is EncoderMode.STANDARD_BASELINE else 3
+    for ref, new in zip(frames, frames[1:]):
+        delta = encode_delta(ref, new, EncoderConfig(mode))
+        want_index, want_diff = oracle.oracle_encode(ref.samples, new.samples, oracle_run)
+        assert as_pairs(delta) == want_index
+        assert delta.diff == want_diff
+        assert decode_delta(ref, delta).samples == new.samples
