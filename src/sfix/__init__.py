@@ -23,7 +23,7 @@ from .decode import decode_delta, decode_prefix
 from .encode import advance_reference, encode_delta, segment_runs
 from .ingest import SynthParams, VideoSource, gen_low_motion, read_raw, read_y4m, write_y4m
 from .net import StreamServer, receive, serve
-from .wirecodec import MessageParser, parse_message, read_container, write_container
+from .wirecodec import parse_message, read_container, write_container
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "FrameMetrics",
     "IndexCode",
     "IndexEntry",
-    "MessageParser",
     "RunSummary",
     "StreamServer",
     "SynthParams",

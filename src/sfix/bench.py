@@ -17,7 +17,7 @@ from .core import CodecError, EncoderConfig, EncoderMode, Frame
 from .decode import decode_delta
 from .encode import advance_reference, encode_delta
 from .ingest import SourceError, VideoSource
-from .wirecodec import delta_to_message, wire_size
+from .wirecodec import INDEX_ENTRY_SIZE, Delta, delta_to_message, wire_size
 
 CSV_HEADER = (
     "frame_no,mode,total_samples,diff_samples,diff_pct,index_entries,"
@@ -81,20 +81,31 @@ def measure_pair(
     """Encode, serialize, decode and time one frame pair under one config."""
     delta, encode_seconds = _timed_median(lambda: encode_delta(ref, new, cfg))
     message = delta_to_message(frame_no, delta)
-    wire_bytes = wire_size(message)
     rebuilt, build_seconds = _timed_median(lambda: decode_delta(ref, delta))
     if rebuilt.samples != new.samples:
         raise CodecError(f"round trip mismatch on frame {frame_no}")
+    return frame_metrics(
+        message, ref.geometry.total_samples, cfg.mode.value, encode_seconds, build_seconds
+    )
 
-    total = ref.geometry.total_samples
-    diff_samples = len(delta.diff)
+
+def frame_metrics(
+    message: Delta, total: int, mode: str, encode_seconds: float, build_seconds: float
+) -> FrameMetrics:
+    """The CSV row of one DELTA message in a frame of `total` samples.
+
+    The counts come from the raw lengths the message declares, which are
+    the delta's own once the message has decoded.
+    """
+    diff_samples = message.diff_raw_len
+    wire_bytes = wire_size(message)
     return FrameMetrics(
-        frame_no=frame_no,
-        mode=cfg.mode.value,
+        frame_no=message.frame_no,
+        mode=mode,
         total_samples=total,
         diff_samples=diff_samples,
         diff_pct=100.0 * diff_samples / total,
-        index_entries=len(delta.records),
+        index_entries=message.index_raw_len // INDEX_ENTRY_SIZE,
         wire_bytes=wire_bytes,
         ratio_samples=diff_samples / total,
         ratio_wire=wire_bytes / total,

@@ -1,5 +1,8 @@
 """Command-line front end: encode, decode, serve, recv, bench, gen.
 
+encode and decode are file I/O around session.py's SessionEncoder and
+SessionDecoder, the same session rules serve and recv run through net.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Set SFIX_LOG to
 off|info|debug to control log verbosity.
 """
@@ -16,8 +19,7 @@ from typing import BinaryIO, Iterator, Optional
 
 from . import bench, ingest, net, wirecodec
 from .core import CodecError, EncoderConfig, EncoderMode, Frame, FrameGeometry
-from .decode import decode_delta
-from .encode import advance_reference, encode_delta
+from .session import SessionDecoder, SessionEncoder
 
 log = logging.getLogger("sfix.cli")
 
@@ -96,37 +98,29 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     cfg = _mode_config(args)
-    stats = {"frames": 0, "diff_pct_sum": 0.0, "deltas": 0}
+    diff_pct_sum = 0.0
 
     with contextlib.ExitStack() as stack:
         source = _open_source(args, stack)
-        fps = args.fps or source.fps
+        session = SessionEncoder(source.geometry, args.fps or source.fps, cfg)
 
         def messages() -> Iterator[wirecodec.StreamMessage]:
-            yield wirecodec.Hello(
-                source.geometry, fps.numerator, fps.denominator,
-                baseline=cfg.mode is EncoderMode.STANDARD_BASELINE,
-            )
-            reference: Optional[Frame] = None
-            for frame_no, frame in enumerate(source):
-                if reference is None:
-                    yield wirecodec.samples_to_message(frame_no, frame.samples)
-                else:
-                    delta = encode_delta(reference, frame, cfg)
-                    total = frame.geometry.total_samples
-                    stats["diff_pct_sum"] += 100.0 * len(delta.diff) / total
-                    stats["deltas"] += 1
-                    yield wirecodec.delta_to_message(frame_no, delta)
-                reference = frame if reference is None else advance_reference(reference, frame)
-                stats["frames"] += 1
+            nonlocal diff_pct_sum
+            yield session.hello
+            for frame in source:
+                msg = session.push(frame)
+                if isinstance(msg, wirecodec.Delta):
+                    diff_pct_sum += 100.0 * msg.diff_raw_len / source.geometry.total_samples
+                yield msg
             yield wirecodec.End()
 
         with _atomic_output(args.output) as out:
             total_bytes = wirecodec.write_container(out, messages())
 
-    mean_diff = stats["diff_pct_sum"] / stats["deltas"] if stats["deltas"] else 0.0
+    deltas = session.frames - 1
+    mean_diff = diff_pct_sum / deltas if deltas > 0 else 0.0
     print(
-        f"{args.output}: frames={stats['frames']} wire_bytes={total_bytes}"
+        f"{args.output}: frames={session.frames} wire_bytes={total_bytes}"
         f" mean_diff_pct={mean_diff:.3f}"
     )
     return 0
@@ -135,62 +129,31 @@ def cmd_encode(args: argparse.Namespace) -> int:
 # -- decode ------------------------------------------------------------------
 
 
-def _replay_container(stream: BinaryIO) -> tuple[wirecodec.Hello, Iterator[Frame]]:
-    messages = wirecodec.read_container(stream)
-    first = next(messages, None)
-    if not isinstance(first, wirecodec.Hello):
-        raise wirecodec.CorruptStream("container must open with a HELLO message")
-
-    def frames() -> Iterator[Frame]:
-        reference: Optional[Frame] = None
-        expected_no = 0
-        for msg in messages:
-            if isinstance(msg, wirecodec.End):
-                return
-            if isinstance(msg, wirecodec.RefFrame):
-                if reference is not None:
-                    raise net.ProtocolViolation("REF_FRAME repeated mid-container")
-                wirecodec.check_declared_lengths(msg, first.geometry)
-                reference = Frame(first.geometry, wirecodec.message_to_samples(msg))
-                expected_no = msg.frame_no + 1
-            elif isinstance(msg, wirecodec.Delta):
-                if reference is None:
-                    raise net.ProtocolViolation("DELTA before any REF_FRAME")
-                if msg.frame_no != expected_no:
-                    raise net.ProtocolViolation(
-                        f"frame_no gap: expected {expected_no}, got {msg.frame_no}"
-                    )
-                wirecodec.check_declared_lengths(msg, first.geometry)
-                reference = decode_delta(reference, wirecodec.message_to_delta(msg))
-                expected_no += 1
-            else:
-                raise net.ProtocolViolation("HELLO repeated mid-container")
-            yield reference
-
-    return first, frames()
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
+    count = 0
     with open(args.input, "rb") as stream:
-        hello, frames = _replay_container(stream)
-        fps = Fraction(hello.fps_num, hello.fps_den) if hello.fps_den else Fraction(25, 1)
+        messages = wirecodec.read_container(stream)
+        session = SessionDecoder("container")
+        session.accept(next(messages))
+        hello = session.hello
         if hello.geometry.channels != 1 and not args.raw:
             raise ingest.UnsupportedColorspace(
                 "3-channel streams have no mono Y4M form; decode with --raw"
             )
-        count = 0
 
-        def counted() -> Iterator[Frame]:
+        def frames() -> Iterator[Frame]:
             nonlocal count
-            for frame in frames:
-                count += 1
-                yield frame
+            for msg in messages:
+                frame = session.accept(msg)
+                if frame is not None:
+                    count += 1
+                    yield frame
 
         with _atomic_output(args.output) as out:
             if args.raw:
-                ingest.write_raw(out, counted())
+                ingest.write_raw(out, frames())
             else:
-                ingest.write_y4m(out, hello.geometry, counted(), fps)
+                ingest.write_y4m(out, hello.geometry, frames(), hello.fps)
     print(f"{args.output}: frames={count}")
     return 0
 
@@ -221,12 +184,7 @@ def cmd_recv(args: argparse.Namespace) -> int:
                 raise ingest.UnsupportedColorspace(
                     "3-channel streams have no mono Y4M form; receive with --raw"
                 )
-            fps = Fraction(hello.fps_num, hello.fps_den) if hello.fps_den else Fraction(25, 1)
-            header = (
-                f"YUV4MPEG2 W{hello.geometry.width} H{hello.geometry.height}"
-                f" F{fps.numerator}:{fps.denominator} Cmono\n"
-            )
-            out.write(header.encode("ascii"))
+            ingest.write_y4m(out, hello.geometry, (), hello.fps)
 
         def sink(frame: Frame) -> None:
             if not args.raw:

@@ -1,17 +1,21 @@
 """Live streaming over TCP: encode once on the server, fan out to clients.
 
-One thread owns the source and the reference frame and broadcasts each
-frame's wire bytes to every connected client; an acceptor thread admits
-clients; one writer thread per client drains its bounded queue.  A client
-that cannot keep up is disconnected rather than stalling the pipeline.
+This module is the I/O around session.py's rules.  One thread owns the
+source and a SessionEncoder and broadcasts each frame's wire bytes to
+every connected client; an acceptor thread admits clients; one writer
+thread per client drains its bounded queue.  A client that cannot keep up
+is disconnected rather than stalling the pipeline.  receive() reads
+messages off the socket and hands each to a SessionDecoder.
 
 A client joining mid-stream is bootstrapped with HELLO plus a REF_FRAME
 snapshot of the reference current when it connected, after which it
-receives the same deltas as everyone else.  The snapshot is compressed by
-the joiner's own writer thread with no lock held: the acceptor only queues
-a token for it, so a join never stalls the broadcast to the other clients,
-and the deltas broadcast meanwhile wait in the joiner's bounded outbox like
-any other client's.
+receives the same deltas as everyone else.  The broadcast publishes that
+reference in the same lock hold as the frame's bytes, so a joiner's
+keyframe and its first delta sit on one frame boundary.  The snapshot is
+compressed by the joiner's own writer thread with no lock held: the
+acceptor only queues a token for it, so a join never stalls the broadcast
+to the other clients, and the deltas broadcast meanwhile wait in the
+joiner's bounded outbox like any other client's.
 """
 
 from __future__ import annotations
@@ -26,28 +30,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bench import FrameMetrics, write_metrics_csv
+from .bench import FrameMetrics, frame_metrics, write_metrics_csv
 from .core import CodecError, EncoderConfig, Frame, FrameGeometry
-from .decode import decode_delta
-from .encode import advance_reference, encode_delta
-from .ingest import SourceError, VideoSource
+from .ingest import VideoSource
+from .session import NetError, SessionDecoder, SessionEncoder
+from .session import ProtocolViolation  # noqa: F401 - public here as net.ProtocolViolation
 from .wirecodec import (
-    OPENING_LIMITS,
     Delta,
     End,
     Hello,
     RefFrame,
     WireFormatError,
-    check_declared_lengths,
-    delta_to_message,
     frame_message,
-    message_to_delta,
-    message_to_samples,
     parse_message,
-    payload_limits,
     samples_to_message,
-    wire_size,
 )
+
+# Not called here since session.py took the session rules; still bound
+# because perfbench/spans.py's _patch_table patches these names on net.
+from .decode import decode_delta  # noqa: F401
+from .encode import encode_delta  # noqa: F401
+from .wirecodec import delta_to_message, message_to_delta, message_to_samples  # noqa: F401
 
 log = logging.getLogger("sfix.net")
 
@@ -56,20 +59,12 @@ _JOIN_TIMEOUT = 10.0
 _WRITER_GRACE = 0.005  # a runnable writer gets the interpreter lock within ~one switch interval
 
 
-class NetError(Exception):
-    """Base class for streaming failures."""
-
-
 class BindFailure(NetError):
     """Listen address could not be bound."""
 
 
 class ConnectFailure(NetError):
     """Server address could not be reached."""
-
-
-class ProtocolViolation(NetError):
-    """Message order or frame numbering broke the session rules."""
 
 
 class DecodeFailure(NetError):
@@ -145,25 +140,16 @@ class StreamServer:
         queue_size: int = DEFAULT_CLIENT_QUEUE,
         on_frame: Optional[Callable[[int], None]] = None,
     ):
-        self._source = source
         self._frames = iter(source)
-        self._config = config
         self._bind_address = parse_address(address)
         self._fps = fps if fps is not None else source.fps
         self._queue_size = queue_size
         self._on_frame = on_frame
-        self._hello_blob = frame_message(
-            Hello(
-                source.geometry,
-                self._fps.numerator,
-                self._fps.denominator,
-                baseline=config.mode.value == "standard",
-            )
-        )
+        self._session = SessionEncoder(source.geometry, self._fps, config)
+        self._hello_blob = frame_message(self._session.hello)
         self._lock = threading.Lock()
         self._clients: list[_Client] = []
-        self._reference: Optional[Frame] = None
-        self._ref_no = -1
+        self._bootstrap = _Bootstrap(-1, None)  # what a client admitted now starts from
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
         self._closing = False
@@ -223,7 +209,7 @@ class StreamServer:
                 return
             # the token and the client's first delta sit on the same frame
             # boundary; the outbox is empty, so the token always fits
-            client.outbox.put_nowait(_Bootstrap(self._ref_no, self._reference))
+            client.outbox.put_nowait(self._bootstrap)
             self._clients.append(client)
             self.report.clients_total += 1
 
@@ -277,28 +263,21 @@ class StreamServer:
         frame = next(self._frames, None)
         if frame is None:
             return False
-        frame_no = self._ref_no + 1
-        if self._reference is None:
-            if frame.geometry != self._source.geometry:
-                raise SourceError(f"source yielded a {frame.geometry} frame")
-            msg = samples_to_message(frame_no, frame.samples)
-        else:
-            delta = encode_delta(self._reference, frame, self._config)
+        msg = self._session.push(frame)
+        if isinstance(msg, Delta):
             self.report.encode_calls += 1
-            msg = delta_to_message(frame_no, delta)
         blob = frame_message(msg)
         self.report.serialize_calls += 1
         with self._lock:
             for client in list(self._clients):
                 if not self._offer(client, blob):
                     self._drop(client)
-            if self._reference is not None:
-                frame = advance_reference(self._reference, frame)
-            self._reference = frame
-            self._ref_no = frame_no
+            # published with the broadcast, never before: a client admitted
+            # between push() and here must still get this frame as a DELTA
+            self._bootstrap = _Bootstrap(msg.frame_no, self._session.reference)
         self.report.frames_encoded += 1
         if self._on_frame is not None:
-            self._on_frame(frame_no)
+            self._on_frame(msg.frame_no)
         return True
 
     @staticmethod
@@ -406,8 +385,9 @@ def receive(
 ) -> ReceiveReport:
     """Connect, reconstruct every delivered frame, and hand each to `sink`.
 
-    The session must open with HELLO and deliver a REF_FRAME before any
-    DELTA; frame numbers after the reference must be gap-free.  Per-frame
+    The session must follow SessionDecoder's rules: HELLO, a REF_FRAME,
+    then gap-free DELTAs until END.  A payload that does not decode raises
+    DecodeFailure, with the wire or codec error as its cause.  Per-frame
     reconstruction metrics are written as CSV when metrics_path is given.
     """
     host, port = parse_address(connect_address)
@@ -418,79 +398,38 @@ def receive(
 
     report = ReceiveReport()
     rows: list[FrameMetrics] = []
+    session = SessionDecoder()
     with sock, sock.makefile("rb") as stream:
         sock.settimeout(timeout)
-        msg = parse_message(stream, OPENING_LIMITS)
-        if not isinstance(msg, Hello):
-            raise ProtocolViolation(f"first message must be HELLO, got {type(msg).__name__}")
-        geometry = msg.geometry
-        report.geometry = geometry
-        report.fps = Fraction(msg.fps_num, msg.fps_den) if msg.fps_den else Fraction(25, 1)
-        report.baseline = msg.baseline
-        mode = "standard" if msg.baseline else "spatio"
+        hello = parse_message(stream, session.limits)
+        session.accept(hello)
+        report.geometry = hello.geometry
+        report.fps = hello.fps
+        report.baseline = hello.baseline
+        mode = "standard" if hello.baseline else "spatio"
         if on_hello is not None:
-            on_hello(msg)
+            on_hello(hello)
 
-        limits = payload_limits(geometry)
-        reference: Optional[Frame] = None
-        expected_no = 0
         while True:
-            msg = parse_message(stream, limits)
-            if isinstance(msg, End):
+            msg = parse_message(stream, session.limits)
+            started = time.perf_counter()
+            try:
+                frame = session.accept(msg)
+            except (WireFormatError, CodecError, ValueError) as exc:
+                what = "reference frame" if isinstance(msg, RefFrame) else f"frame {msg.frame_no}"
+                raise DecodeFailure(f"{what} unusable: {exc}") from exc
+            build_seconds = time.perf_counter() - started
+            if frame is None:  # END; a repeated HELLO raised in accept()
                 break
-            if isinstance(msg, Hello):
-                raise ProtocolViolation("HELLO repeated mid-session")
             if isinstance(msg, RefFrame):
-                if reference is not None:
-                    raise ProtocolViolation("REF_FRAME repeated mid-session")
-                try:
-                    check_declared_lengths(msg, geometry)
-                    samples = message_to_samples(msg)
-                    reference = Frame(geometry, samples)
-                except (WireFormatError, ValueError) as exc:
-                    raise DecodeFailure(f"reference frame unusable: {exc}") from exc
                 report.first_frame_no = msg.frame_no
-                expected_no = msg.frame_no + 1
-            elif isinstance(msg, Delta):
-                if reference is None:
-                    raise ProtocolViolation("DELTA before any REF_FRAME")
-                if msg.frame_no != expected_no:
-                    raise ProtocolViolation(
-                        f"frame_no gap: expected {expected_no}, got {msg.frame_no}"
-                    )
-                started = time.perf_counter()
-                try:
-                    check_declared_lengths(msg, geometry)
-                    delta = message_to_delta(msg)
-                    frame = decode_delta(reference, delta)
-                except (WireFormatError, CodecError) as exc:
-                    raise DecodeFailure(f"frame {msg.frame_no} unusable: {exc}") from exc
-                build_seconds = time.perf_counter() - started
-                if metrics_path is not None:
-                    total = geometry.total_samples
-                    size = wire_size(msg)
-                    rows.append(
-                        FrameMetrics(
-                            frame_no=msg.frame_no,
-                            mode=mode,
-                            total_samples=total,
-                            diff_samples=len(delta.diff),
-                            diff_pct=100.0 * len(delta.diff) / total,
-                            index_entries=len(delta.records),
-                            wire_bytes=size,
-                            ratio_samples=len(delta.diff) / total,
-                            ratio_wire=size / total,
-                            encode_seconds=0.0,  # not observable on this side
-                            build_seconds=build_seconds,
-                        )
-                    )
-                reference = advance_reference(reference, frame)
-                expected_no += 1
-            else:  # pragma: no cover - parse_message only returns the four kinds
-                raise ProtocolViolation(f"unexpected message {type(msg).__name__}")
+            elif metrics_path is not None:
+                total = hello.geometry.total_samples
+                # encode time is not observable on this side
+                rows.append(frame_metrics(msg, total, mode, 0.0, build_seconds))
             report.frames_received += 1
             if sink is not None:
-                sink(reference)
+                sink(frame)
 
     if metrics_path is not None:
         write_metrics_csv(metrics_path, rows)

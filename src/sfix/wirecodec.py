@@ -35,6 +35,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -117,6 +118,11 @@ class Hello:
     fps_num: int
     fps_den: int
     baseline: bool = False
+
+    @property
+    def fps(self) -> Fraction:
+        """The session's frame rate; 25 when fps_den is 0."""
+        return Fraction(self.fps_num, self.fps_den) if self.fps_den else Fraction(25, 1)
 
 
 @dataclass(frozen=True)
@@ -379,34 +385,6 @@ def parse_message(stream: BinaryIO, limits: Optional[dict[int, int]] = None) -> 
     return _decode_payload(msg_type, payload)
 
 
-class MessageParser:
-    """Incremental message parser; feed() arbitrary chunks, get whole messages.
-
-    Feeding one byte at a time yields exactly the messages whole-buffer
-    feeding would.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[StreamMessage]:
-        self._buf += data
-        messages = []
-        while len(self._buf) >= _MSG_HEADER.size:
-            msg_type, payload_len = _MSG_HEADER.unpack_from(self._buf)
-            end = _MSG_HEADER.size + payload_len
-            if len(self._buf) < end:
-                break
-            payload = bytes(self._buf[_MSG_HEADER.size:end])
-            del self._buf[:end]
-            messages.append(_decode_payload(msg_type, payload))
-        return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)
-
-
 def delta_to_message(frame_no: int, delta: FrameDelta) -> Delta:
     """Compress a frame delta's two buffers into a wire message."""
     raw_index = serialize_index(delta.records)
@@ -449,9 +427,10 @@ def write_container(stream: BinaryIO, messages: Iterable[StreamMessage]) -> int:
 def read_container(stream: BinaryIO) -> Iterator[StreamMessage]:
     """Yield the message stream of a `.sfix` container, END inclusive.
 
-    Each message header is checked before its payload is read: the opening
-    one against OPENING_LIMITS, the rest against the payload_limits of the
-    HELLO's geometry.
+    The container must open with HELLO.  Each message header is checked
+    before its payload is read: the HELLO against OPENING_LIMITS, the rest
+    against the payload_limits of its geometry.  Reading stops at END, so
+    any bytes after END are never read and never rejected.
     """
     try:
         header = _read_exact(stream, len(SFIX_MAGIC) + 1)
@@ -463,8 +442,10 @@ def read_container(stream: BinaryIO) -> Iterator[StreamMessage]:
     if version != SFIX_VERSION:
         raise UnsupportedVersion(f"unsupported container version {version}")
     msg = parse_message(stream, OPENING_LIMITS)
+    if not isinstance(msg, Hello):
+        raise CorruptStream("container must open with a HELLO message")
     yield msg
-    limits = payload_limits(msg.geometry) if isinstance(msg, Hello) else OPENING_LIMITS
+    limits = payload_limits(msg.geometry)
     while not isinstance(msg, End):
         msg = parse_message(stream, limits)
         yield msg

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
+from sfix.session import SessionDecoder
+from sfix.wirecodec import read_container
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracle` importable
 
@@ -58,6 +60,13 @@ BASELINE_DIFF = [
 
 # Output cursor position after each golden index entry (cumulative counts).
 GOLDEN_PREFIX_LENGTHS = [4, 8, 12, 16, 22, 27, 29, 34, 38, 41, 70]
+
+
+def decode_container(stream) -> list[bytes]:
+    """The samples of every frame a container decodes to, read the way `sfix decode` does."""
+    session = SessionDecoder("container")
+    messages = read_container(stream)
+    return [frame.samples for frame in map(session.accept, messages) if frame is not None]
 
 
 def rows_to_frame(rows: list[list[int]]) -> Frame:

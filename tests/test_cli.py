@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import decode_container
 from sfix import cli, net
 from sfix.ingest import SynthParams, VideoSource, gen_low_motion, read_y4m, write_y4m
 from sfix.wirecodec import Hello, frame_message, read_container
@@ -215,9 +216,8 @@ class TestEncodeDecode:
         buf = io.BytesIO()
         wc.write_container(buf, [wc.Hello(FrameGeometry(4, 2), 25, 1), ref, delta, wc.End()])
         buf.seek(0)
-        _, frames = cli._replay_container(buf)
         with pytest.raises(wc.WireFormatError, match=message):
-            list(frames)
+            decode_container(buf)
         path = tmp_path / "bad.sfix"
         path.write_bytes(buf.getvalue())
         rc = cli.main(["decode", "--input", str(path), "--output", str(tmp_path / "o.y4m")])
@@ -239,8 +239,7 @@ class TestEncodeDecode:
         tracemalloc.start()
         try:
             with open(path, "rb") as fh, pytest.raises(wc.PayloadTooLarge):
-                _, frames = cli._replay_container(fh)
-                list(frames)
+                decode_container(fh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -5,10 +5,13 @@ by module attribute, and counts index entries from the deltas encode
 returns.  A refactor that renames one of those attributes, or stops
 calling a layer through its module's globals, would crash or silently
 zero the per-layer figures; these tests catch it without running the
-benchmark.  They only import perfbench/spans.py, never change it.
+benchmark.  The last ones run the benchmark's own set-up checks and a
+short live_join stream, untraced and traced.  They import perfbench's
+modules, never change them.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,8 @@ from conftest import GOLDEN_INDEX
 from sfix import decode, encode, wirecodec
 from sfix.core import EncoderConfig, IndexCode
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -66,4 +70,50 @@ def test_hot_path_calls_layers_through_module_globals(spans, golden_ref, golden_
         "wirecodec.deserialize_index",
         "decode.decode_delta",
         "core.validate_delta",
+    } <= recorded
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's modules import each other by bare name, so its folder goes on sys.path."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import checks
+        import live
+        import spans
+        from workloads import WORKLOADS
+
+        yield checks, live, spans, WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("workload", ["hd_heavy", "hd_light"])
+def test_setup_checks_pass(perfbench, tmp_path, workload):
+    """`sfix encode` writes encode_clip's bytes, and measure_pair counts what the container holds."""
+    checks, _, spans, workloads = perfbench
+    checks.check_cli_encode(workloads[workload], 3, tmp_path)
+    checks.check_measure_pair(workloads[workload], 3, spans.NullTracer())
+
+
+def test_live_join_stream_delivers_every_frame(perfbench, tmp_path):
+    _, live, _, workloads = perfbench
+    run = live.run_live(workloads["live_join"], 3, 12, 5, tmp_path)
+    assert run.steady_error == ""
+    assert run.failed == 0
+    assert run.probes == 1 and len(run.rows) == 11
+
+
+def test_traced_live_join_records_every_layer(perfbench, tmp_path):
+    _, live, spans, workloads = perfbench
+    tracer = spans.Tracer()
+    run = live.run_live(workloads["live_join"], 3, 12, 5, tmp_path, tracer)
+    assert run.steady_error == ""
+    assert run.failed == 0
+    recorded = {span["name"] for span in tracer.spans + run.server["spans"]}
+    assert {
+        "encode.encode_delta",
+        "wirecodec.parse_message",
+        "wait.recv",
+        "decode.decode_delta",
     } <= recorded

@@ -351,33 +351,6 @@ def test_parse_inverts_frame(msg):
     assert wc.wire_size(msg) == len(framed)
 
 
-@given(st.lists(messages, max_size=6), st.integers(1, 7))
-@settings(max_examples=60, deadline=None)
-def test_incremental_parser_chunk_size_invariance(msgs, chunk):
-    stream = b"".join(wc.frame_message(m) for m in msgs)
-    parser = wc.MessageParser()
-    got = []
-    for i in range(0, len(stream), chunk):
-        got.extend(parser.feed(stream[i:i + chunk]))
-    assert got == msgs
-    assert parser.pending_bytes == 0
-
-
-def test_incremental_parser_single_bytes():
-    msgs = [
-        wc.Hello(FrameGeometry(10, 7), 25, 1),
-        wc.samples_to_message(0, bytes(70)),
-        wc.delta_to_message(1, golden_delta()),
-        wc.End(),
-    ]
-    stream = b"".join(wc.frame_message(m) for m in msgs)
-    parser = wc.MessageParser()
-    got = []
-    for i in range(len(stream)):
-        got.extend(parser.feed(stream[i:i + 1]))
-    assert got == msgs
-
-
 class TestContainer:
     def messages(self):
         return [
