@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, get_type_hints
 
 from .core import CodecError, EncoderConfig, EncoderMode, Frame
 from .decode import decode_delta
 from .encode import advance_reference, encode_delta
 from .ingest import SourceError, VideoSource
 from .wirecodec import INDEX_ENTRY_SIZE, Delta, delta_to_message, wire_size
-
-CSV_HEADER = (
-    "frame_no,mode,total_samples,diff_samples,diff_pct,index_entries,"
-    "wire_bytes,ratio_samples,ratio_wire,encode_seconds,build_seconds"
-)
 
 _TIMING_RUNS = 3
 
@@ -44,6 +39,11 @@ class FrameMetrics:
     ratio_wire: float  # framed compressed bytes / raw frame bytes
     encode_seconds: float
     build_seconds: float
+
+
+# The metrics CSV's columns are FrameMetrics's fields, in order.
+CSV_HEADER = ",".join(f.name for f in fields(FrameMetrics))
+_FIELD_TYPES = get_type_hints(FrameMetrics)  # each column's parser: int, str or float
 
 
 @dataclass
@@ -118,27 +118,7 @@ def write_metrics_csv(path: str, rows: Iterable[FrameMetrics]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    row.frame_no,
-                    row.mode,
-                    row.total_samples,
-                    row.diff_samples,
-                    repr(row.diff_pct),
-                    row.index_entries,
-                    row.wire_bytes,
-                    repr(row.ratio_samples),
-                    repr(row.ratio_wire),
-                    repr(row.encode_seconds),
-                    repr(row.build_seconds),
-                ]
-            )
-
-
-_INT_FIELDS = frozenset(
-    {"frame_no", "total_samples", "diff_samples", "index_entries", "wire_bytes"}
-)
+        writer.writerows(astuple(row) for row in rows)  # csv writes a float as its repr()
 
 
 def read_metrics_csv(path: str) -> list[FrameMetrics]:
@@ -149,15 +129,9 @@ def read_metrics_csv(path: str) -> list[FrameMetrics]:
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ValueError(f"unexpected CSV header {reader.fieldnames}")
         for record in reader:
-            kwargs = {
-                name: (
-                    value
-                    if name == "mode"
-                    else int(value) if name in _INT_FIELDS else float(value)
-                )
-                for name, value in record.items()
-            }
-            rows.append(FrameMetrics(**kwargs))
+            rows.append(FrameMetrics(**{
+                name: _FIELD_TYPES[name](value) for name, value in record.items()
+            }))
     return rows
 
 

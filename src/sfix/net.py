@@ -3,9 +3,12 @@
 This module is the I/O around session.py's rules.  One thread owns the
 source and a SessionEncoder and broadcasts each frame's wire bytes to
 every connected client; an acceptor thread admits clients; one writer
-thread per client drains its bounded queue.  A client that cannot keep up
-is disconnected rather than stalling the pipeline.  receive() reads
-messages off the socket and hands each to a SessionDecoder.
+thread per client drains its bounded outbox.  A client leaves the fan-out
+list one way, StreamServer._drop: when its outbox is still full after a
+short grace (a slow consumer, cut rather than stalling the pipeline), when
+its writer's send fails (the peer has gone), or when finish() cannot queue
+END for it.  receive() reads messages off the socket and hands each to a
+SessionDecoder.
 
 A client joining mid-stream is bootstrapped with HELLO plus a REF_FRAME
 snapshot of the reference current when it connected, after which it
@@ -22,11 +25,10 @@ from __future__ import annotations
 
 import logging
 import queue
-import select
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -36,7 +38,6 @@ from .ingest import VideoSource
 from .session import NetError, SessionDecoder, SessionEncoder
 from .session import ProtocolViolation  # noqa: F401 - public here as net.ProtocolViolation
 from .wirecodec import (
-    Delta,
     End,
     Hello,
     RefFrame,
@@ -54,7 +55,7 @@ from .wirecodec import delta_to_message, message_to_delta, message_to_samples  #
 
 log = logging.getLogger("sfix.net")
 
-DEFAULT_CLIENT_QUEUE = 32
+OUTBOX_SIZE = 32  # messages queued per client before the broadcast waits on it
 _JOIN_TIMEOUT = 10.0
 _WRITER_GRACE = 0.005  # a runnable writer gets the interpreter lock within ~one switch interval
 
@@ -84,8 +85,6 @@ def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
 @dataclass
 class ServeReport:
     frames_encoded: int = 0
-    encode_calls: int = 0
-    serialize_calls: int = 0
     snapshot_calls: int = 0  # keyframes compressed for joining clients
     clients_total: int = 0
     clients_dropped: int = 0
@@ -106,7 +105,6 @@ class _Client:
     outbox: queue.Queue
     peer: str
     writer: Optional[threading.Thread] = None
-    dropped: bool = field(default=False)
 
 
 @dataclass(frozen=True)
@@ -137,14 +135,10 @@ class StreamServer:
         config: EncoderConfig = EncoderConfig(),
         address: str | tuple[str, int] = ("127.0.0.1", 0),
         fps: Optional[Fraction] = None,
-        queue_size: int = DEFAULT_CLIENT_QUEUE,
-        on_frame: Optional[Callable[[int], None]] = None,
     ):
         self._frames = iter(source)
         self._bind_address = parse_address(address)
         self._fps = fps if fps is not None else source.fps
-        self._queue_size = queue_size
-        self._on_frame = on_frame
         self._session = SessionEncoder(source.geometry, self._fps, config)
         self._hello_blob = frame_message(self._session.hello)
         self._lock = threading.Lock()
@@ -198,7 +192,7 @@ class StreamServer:
 
     def _admit(self, sock: socket.socket, peer: str) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client = _Client(sock, queue.Queue(maxsize=self._queue_size), peer)
+        client = _Client(sock, queue.Queue(maxsize=OUTBOX_SIZE), peer)
         # the writer runs before the client is listed, so finish() never
         # meets a listed client whose writer thread it cannot join yet
         client.writer = threading.Thread(target=self._write_loop, args=(client,), daemon=True)
@@ -223,8 +217,9 @@ class StreamServer:
                     client.sock.sendall(self._hello_blob)
                     blob = self._keyframe(client, blob)
                 client.sock.sendall(blob)
-        except OSError:
-            client.dropped = True
+        except OSError as exc:
+            with self._lock:
+                self._drop(client, f"send failed: {exc}")
         finally:
             client.sock.close()
 
@@ -244,9 +239,17 @@ class StreamServer:
         )
         return blob
 
-    def _drop(self, client: _Client) -> None:
-        # caller holds the lock; closing the socket unblocks the writer
-        client.dropped = True
+    def _drop(self, client: _Client, reason: str) -> None:
+        """Take a client off the fan-out list and count it as dropped.
+
+        The one way off the list for a client that stops receiving; the
+        caller holds the lock.  A client already off the list is left
+        alone, so a writer whose send fails after the broadcast cut it
+        (closing its socket fails that send) is not counted twice.
+        Closing the socket unblocks the writer.
+        """
+        if client not in self._clients:
+            return
         self._clients.remove(client)
         self.report.clients_dropped += 1
         try:
@@ -254,7 +257,7 @@ class StreamServer:
         except OSError:
             pass
         client.sock.close()
-        log.info("client %s dropped as slow consumer", client.peer)
+        log.info("client %s dropped: %s", client.peer, reason)
 
     # -- broadcasting ------------------------------------------------------
 
@@ -264,43 +267,28 @@ class StreamServer:
         if frame is None:
             return False
         msg = self._session.push(frame)
-        if isinstance(msg, Delta):
-            self.report.encode_calls += 1
         blob = frame_message(msg)
-        self.report.serialize_calls += 1
         with self._lock:
             for client in list(self._clients):
                 if not self._offer(client, blob):
-                    self._drop(client)
+                    self._drop(client, "slow consumer")
             # published with the broadcast, never before: a client admitted
             # between push() and here must still get this frame as a DELTA
             self._bootstrap = _Bootstrap(msg.frame_no, self._session.reference)
         self.report.frames_encoded += 1
-        if self._on_frame is not None:
-            self._on_frame(msg.frame_no)
         return True
 
     @staticmethod
     def _offer(client: _Client, blob: bytes) -> bool:
         """Queue a blob for a client; False if the client is a slow consumer.
 
-        A full outbox means a slow consumer when its writer is gone or its
-        socket has no room: the peer is not reading.  With room on the
-        socket, the writer only has not been scheduled yet (a burst of cheap
-        frames can hold the interpreter lock for a whole switch interval),
-        and waiting on the queue releases that lock so the writer drains it.
+        A full outbox may only mean that its writer has not been scheduled
+        yet (a burst of cheap frames can hold the interpreter lock for a
+        whole switch interval), and waiting on the queue releases that lock
+        so the writer drains it.  An outbox still full after the grace
+        belongs to a peer that is not reading.  A peer that has gone is not
+        met here: its writer's failed send took it off the list.
         """
-        try:
-            client.outbox.put_nowait(blob)
-            return True
-        except queue.Full:
-            pass
-        try:
-            _, writable, _ = select.select([], [client.sock], [], 0)
-        except (OSError, ValueError):  # the writer already closed the socket
-            return False
-        if client.dropped or not writable:
-            return False
         try:
             client.outbox.put(blob, timeout=_WRITER_GRACE)
         except queue.Full:
@@ -324,13 +312,10 @@ class StreamServer:
                     client.outbox.put(item, timeout=wait)
             except queue.Full:
                 with self._lock:
-                    if client in self._clients:
-                        self._drop(client)
+                    self._drop(client, "END could not be queued")
         if self._listener is not None:
             self._listener.close()
         for client in clients:
-            if client.writer is None:
-                continue
             client.writer.join(max(0.0, deadline - time.monotonic()))
             if client.writer.is_alive():
                 client.sock.close()  # force a stuck sendall to fail

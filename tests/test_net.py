@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sfix import net
+from sfix import encode, net
 from sfix import wirecodec as wc
 from sfix.bench import read_metrics_csv
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
@@ -135,9 +135,17 @@ class TestLoopbackStreaming:
         assert late.samples == [f.samples for f in frames[20:]]
         assert early.samples == [f.samples for f in frames]
 
-    def test_fan_out_encodes_and_serializes_once_per_frame(self):
+    def test_fan_out_encodes_and_serializes_once_per_frame(self, monkeypatch):
         frames = synth_frames(12, seed=8)
         server = net.StreamServer(make_source(frames)).start()
+        encoded, framed = [], []
+        encode_delta, frame_message = encode.encode_delta, net.frame_message
+        monkeypatch.setattr(
+            encode, "encode_delta", lambda *args: encoded.append(1) or encode_delta(*args)
+        )
+        monkeypatch.setattr(
+            net, "frame_message", lambda msg: framed.append(msg) or frame_message(msg)
+        )
         try:
             clients = [Receiver(server.address) for _ in range(3)]
             assert server.wait_for_clients(3)
@@ -150,8 +158,10 @@ class TestLoopbackStreaming:
             assert client.join().frames_received == 12
             assert client.samples == [f.samples for f in frames]
         assert report.clients_total == 3
-        assert report.encode_calls == 11        # every frame but the reference
-        assert report.serialize_calls == 12     # once per frame, not per client
+        assert len(encoded) == 11  # every frame but the reference
+        # once per frame, not per client, then END
+        assert [msg.frame_no for msg in framed[:-1]] == list(range(12))
+        assert framed[-1] == wc.End()
         assert report.frames_encoded == 12
 
     def test_identical_frames_stream_as_equal_deltas(self):
@@ -244,6 +254,14 @@ def send_frames(server, n):
     return lambda: [server.send_next_frame() for _ in range(n)]
 
 
+def eventually(predicate, timeout=5.0):
+    """Whether predicate() holds within timeout, polling it."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return predicate()
+
+
 class TestJoinPath:
     """The joiner's keyframe is compressed by its own writer, with no lock held."""
 
@@ -307,8 +325,9 @@ class TestJoinPath:
             assert wc.parse_message(stream) == wc.End()
 
     def test_overflowing_outbox_drops_only_the_joiner(self, monkeypatch):
+        monkeypatch.setattr(net, "OUTBOX_SIZE", 4)
         frames = synth_frames(12, seed=19)
-        server = net.StreamServer(make_source(frames), queue_size=4).start()
+        server = net.StreamServer(make_source(frames)).start()
         gate = None
         try:
             early = Receiver(server.address)
@@ -364,38 +383,93 @@ class TestJoinPath:
 
     def test_join_during_an_unpaced_burst(self):
         frames = synth_frames(120, seed=29)
-        server = None
-
-        def admit_late_client(frame_no):
-            if frame_no == 30:  # the burst resumes as soon as the joiner is listed
-                late.append(Receiver(server.address))
-                assert server.wait_for_clients(2)
-
-        late = []
-        server = net.StreamServer(make_source(frames), on_frame=admit_late_client).start()
+        server = net.StreamServer(make_source(frames)).start()
         try:
             early = Receiver(server.address)
             assert server.wait_for_clients(1)
+            for frame_no in range(120):
+                assert server.send_next_frame()
+                if frame_no == 30:  # the burst resumes as soon as the joiner is listed
+                    late = Receiver(server.address)
+                    assert server.wait_for_clients(2)
+            assert not server.send_next_frame()
+            report = server.finish()
+        finally:
+            server.close()
+        late_report = late.join()
+        assert early.join().frames_received == 120
+        assert early.samples == [f.samples for f in frames]
+        assert late_report.first_frame_no == 30
+        assert late.samples == [f.samples for f in frames[30:]]
+        assert report.clients_dropped == 0
+
+
+class TestDeparture:
+    """A client leaves the fan-out list once, whichever way it goes."""
+
+    def test_departed_peer_leaves_at_its_writers_first_failed_send(self):
+        frames = synth_frames(40, seed=31)
+        server = net.StreamServer(make_source(frames)).start()
+        departing = socket.create_connection(server.address, timeout=10.0)
+        try:
+            healthy = Receiver(server.address)
+            assert server.wait_for_clients(2)
+            assert server.send_next_frame()  # frame 0, the REF_FRAME
+            with departing.makefile("rb") as stream:
+                assert isinstance(wc.parse_message(stream), wc.Hello)
+                assert isinstance(wc.parse_message(stream), wc.RefFrame)
+            departing.close()
+            assert completes(send_frames(server, 3))  # frames 1..3
+            assert eventually(lambda: server.client_count == 1)
             while server.send_next_frame():
                 pass
             report = server.finish()
         finally:
+            departing.close()
             server.close()
-        late_report = late[0].join()
-        assert early.join().frames_received == 120
-        assert early.samples == [f.samples for f in frames]
-        assert late_report.first_frame_no == 30
-        assert late[0].samples == [f.samples for f in frames[30:]]
-        assert report.clients_dropped == 0
+        assert healthy.join().frames_received == 40
+        assert healthy.samples == [f.samples for f in frames]
+        assert report.clients_total == 2
+        assert report.clients_dropped == 1
+
+    def test_cut_client_whose_send_then_fails_is_counted_once(self, monkeypatch):
+        monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
+        reasons = []
+        drop = net.StreamServer._drop
+
+        def recording_drop(server, client, reason):
+            reasons.append(reason)
+            drop(server, client, reason)
+
+        monkeypatch.setattr(net.StreamServer, "_drop", recording_drop)
+        # 48 KiB of noise per frame fills the socket of a client that never reads
+        frames = noise_frames(120, FrameGeometry(128, 128, 3))
+        server = net.StreamServer(make_source(frames)).start()
+        stalled = socket.create_connection(server.address)
+        try:
+            assert server.wait_for_clients(1)
+            while server.client_count and server.send_next_frame():
+                pass
+            assert server.client_count == 0
+            # closing its socket fails the writer's blocked send
+            assert eventually(lambda: len(reasons) == 2)
+            report = server.finish()
+        finally:
+            stalled.close()
+            server.close()
+        assert reasons[0] == "slow consumer"
+        assert reasons[1].startswith("send failed")
+        assert report.clients_dropped == 1
 
 
 class TestBackPressure:
-    def test_stalled_client_dropped_and_stream_continues(self):
+    def test_stalled_client_dropped_and_stream_continues(self, monkeypatch):
         # 48 KiB of noise per frame swamps the socket buffers of a client
         # that never reads; its bounded queue then overflows and it is cut.
+        monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
         geometry = FrameGeometry(128, 128, 3)
         frames = noise_frames(120, geometry)
-        server = net.StreamServer(make_source(frames), queue_size=2).start()
+        server = net.StreamServer(make_source(frames)).start()
         try:
             healthy = Receiver(server.address)
             stalled = socket.create_connection(server.address)

@@ -102,6 +102,8 @@ def test_live_join_stream_delivers_every_frame(perfbench, tmp_path):
     assert run.steady_error == ""
     assert run.failed == 0
     assert run.probes == 1 and len(run.rows) == 11
+    # the probe leaves after its first frame, at its writer's first failed send
+    assert run.server["clients_dropped"] == run.probes
 
 
 def test_traced_live_join_records_every_layer(perfbench, tmp_path):
