@@ -3,12 +3,13 @@
 This module is the I/O around session.py's rules.  One thread owns the
 source and a SessionEncoder and broadcasts each frame's wire bytes to
 every connected client; an acceptor thread admits clients; one writer
-thread per client drains its bounded outbox.  A client leaves the fan-out
-list one way, StreamServer._drop: when its outbox is still full after a
-short grace (a slow consumer, cut rather than stalling the pipeline), when
-its writer's send fails (the peer has gone), or when finish() cannot queue
-END for it.  receive() reads messages off the socket and hands each to a
-SessionDecoder.
+thread per client drains its bounded outbox.  Every message, frames and
+END alike, goes out by one rule, StreamServer._broadcast: a client whose
+outbox is still full after a short grace, waited out with no lock held, is
+cut as a slow consumer.  A client leaves the fan-out list one way,
+StreamServer._drop: when the broadcast cuts it, or when its writer's send
+fails (the peer has gone).  receive() reads messages off the socket and
+hands each to a SessionDecoder.
 
 A client joining mid-stream is bootstrapped with HELLO plus a REF_FRAME
 snapshot of the reference current when it connected, after which it
@@ -23,6 +24,7 @@ joiner's bounded outbox like any other client's.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
 import socket
@@ -38,6 +40,7 @@ from .ingest import VideoSource
 from .session import NetError, SessionDecoder, SessionEncoder
 from .session import ProtocolViolation  # noqa: F401 - public here as net.ProtocolViolation
 from .wirecodec import (
+    MSG_END,
     End,
     Hello,
     RefFrame,
@@ -57,7 +60,8 @@ log = logging.getLogger("sfix.net")
 
 OUTBOX_SIZE = 32  # messages queued per client before the broadcast waits on it
 _JOIN_TIMEOUT = 10.0
-_WRITER_GRACE = 0.005  # a runnable writer gets the interpreter lock within ~one switch interval
+_END_TYPE = bytes((MSG_END,))
+_WRITER_GRACE = 0.05  # outlasts a healthy writer's ~17 ms waits for the interpreter lock
 
 
 class BindFailure(NetError):
@@ -70,6 +74,13 @@ class ConnectFailure(NetError):
 
 class DecodeFailure(NetError):
     """A received payload could not be decompressed or reconstructed."""
+
+
+def _shut(sock: socket.socket) -> None:
+    """Close a socket so that a thread blocked in a call on it wakes."""
+    with contextlib.suppress(OSError):  # not connected, or already closed
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
@@ -143,10 +154,9 @@ class StreamServer:
         self._hello_blob = frame_message(self._session.hello)
         self._lock = threading.Lock()
         self._clients: list[_Client] = []
-        self._bootstrap = _Bootstrap(-1, None)  # what a client admitted now starts from
+        self._bootstrap = _Bootstrap(-1, None)  # what a joiner starts from; None once END is out
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
-        self._closing = False
         self.report = ServeReport()
 
     # -- lifecycle ---------------------------------------------------------
@@ -193,19 +203,16 @@ class StreamServer:
     def _admit(self, sock: socket.socket, peer: str) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         client = _Client(sock, queue.Queue(maxsize=OUTBOX_SIZE), peer)
-        # the writer runs before the client is listed, so finish() never
-        # meets a listed client whose writer thread it cannot join yet
+        with self._lock:
+            # the token and the client's first delta sit on one frame boundary;
+            # the outbox is empty, so it fits.  None (END is out) stops the writer.
+            client.outbox.put_nowait(self._bootstrap)
+            if self._bootstrap is not None:
+                self._clients.append(client)
+                self.report.clients_total += 1
+        # finish() joins writers once this thread has ended, so each has started
         client.writer = threading.Thread(target=self._write_loop, args=(client,), daemon=True)
         client.writer.start()
-        with self._lock:
-            if self._closing:
-                client.outbox.put(None)  # the writer stops and closes the socket
-                return
-            # the token and the client's first delta sit on the same frame
-            # boundary; the outbox is empty, so the token always fits
-            client.outbox.put_nowait(self._bootstrap)
-            self._clients.append(client)
-            self.report.clients_total += 1
 
     def _write_loop(self, client: _Client) -> None:
         try:
@@ -217,6 +224,8 @@ class StreamServer:
                     client.sock.sendall(self._hello_blob)
                     blob = self._keyframe(client, blob)
                 client.sock.sendall(blob)
+                if blob[:1] == _END_TYPE:  # END is the last message a client gets
+                    return
         except OSError as exc:
             with self._lock:
                 self._drop(client, f"send failed: {exc}")
@@ -246,17 +255,13 @@ class StreamServer:
         caller holds the lock.  A client already off the list is left
         alone, so a writer whose send fails after the broadcast cut it
         (closing its socket fails that send) is not counted twice.
-        Closing the socket unblocks the writer.
+        Shutting the socket down unblocks the writer.
         """
         if client not in self._clients:
             return
         self._clients.remove(client)
         self.report.clients_dropped += 1
-        try:
-            client.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        client.sock.close()
+        _shut(client.sock)
         log.info("client %s dropped: %s", client.peer, reason)
 
     # -- broadcasting ------------------------------------------------------
@@ -267,70 +272,65 @@ class StreamServer:
         if frame is None:
             return False
         msg = self._session.push(frame)
-        blob = frame_message(msg)
-        with self._lock:
-            for client in list(self._clients):
-                if not self._offer(client, blob):
-                    self._drop(client, "slow consumer")
-            # published with the broadcast, never before: a client admitted
-            # between push() and here must still get this frame as a DELTA
-            self._bootstrap = _Bootstrap(msg.frame_no, self._session.reference)
+        self._broadcast(frame_message(msg), _Bootstrap(msg.frame_no, self._session.reference))
         self.report.frames_encoded += 1
         return True
 
-    @staticmethod
-    def _offer(client: _Client, blob: bytes) -> bool:
-        """Queue a blob for a client; False if the client is a slow consumer.
+    def _broadcast(self, blob: bytes, bootstrap: Optional[_Bootstrap]) -> None:
+        """Give `blob` to every client: one delivery rule for frames and END.
 
-        A full outbox may only mean that its writer has not been scheduled
-        yet (a burst of cheap frames can hold the interpreter lock for a
-        whole switch interval), and waiting on the queue releases that lock
-        so the writer drains it.  An outbox still full after the grace
-        belongs to a peer that is not reading.  A peer that has gone is not
-        met here: its writer's failed send took it off the list.
+        In one lock hold, each client with room gets the blob and `bootstrap`
+        (None once END is out) is published with it, never before: a client
+        admitted between push() and here must still get this frame as a DELTA.
+        A full outbox may only mean that its writer has not run yet, so the
+        full clients share one _WRITER_GRACE, waited out with no lock held;
+        those still full after it are cut as slow consumers.
         """
-        try:
-            client.outbox.put(blob, timeout=_WRITER_GRACE)
-        except queue.Full:
-            return False
-        return True
+        full = []
+        with self._lock:
+            for client in self._clients:
+                try:
+                    client.outbox.put_nowait(blob)
+                except queue.Full:
+                    full.append(client)
+            self._bootstrap = bootstrap
+        deadline = time.monotonic() + _WRITER_GRACE
+        for client in full:
+            try:
+                client.outbox.put(blob, timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Full:
+                with self._lock:
+                    self._drop(client, "slow consumer")
 
     def finish(self) -> ServeReport:
-        """Broadcast END, stop accepting, and wait for writers to drain."""
-        end_blob = frame_message(End())
+        """Broadcast END, stop accepting, and wait for writers to send it."""
+        self._broadcast(frame_message(End()), None)
+        self._stop_accepting()
         with self._lock:
-            self._closing = True
             clients = list(self._clients)
         deadline = time.monotonic() + _JOIN_TIMEOUT
         for client in clients:
-            # bounded blocking put: a draining client gets END even if its
-            # queue is momentarily full; a stalled one is still cut, and no
-            # single client can burn the whole join deadline
-            try:
-                for item in (end_blob, None):
-                    wait = max(0.0, min(2.0, deadline - time.monotonic()))
-                    client.outbox.put(item, timeout=wait)
-            except queue.Full:
-                with self._lock:
-                    self._drop(client, "END could not be queued")
-        if self._listener is not None:
-            self._listener.close()
-        for client in clients:
             client.writer.join(max(0.0, deadline - time.monotonic()))
             if client.writer.is_alive():
-                client.sock.close()  # force a stuck sendall to fail
+                _shut(client.sock)  # force a stuck sendall to fail
                 client.writer.join(1.0)
         return self.report
 
-    def close(self) -> None:
-        with self._lock:
-            self._closing = True
-            clients = list(self._clients)
-            self._clients.clear()
+    def _stop_accepting(self) -> None:
+        """Wake the acceptor out of accept() and wait for it to end."""
         if self._listener is not None:
-            self._listener.close()
+            _shut(self._listener)  # closing alone does not wake accept() on Linux
+            self._acceptor.join()
+
+    def close(self) -> None:
+        """Stop accepting and cut every client without counting it dropped."""
+        self._stop_accepting()
+        with self._lock:
+            clients, self._clients = self._clients, []
         for client in clients:
-            client.sock.close()
+            _shut(client.sock)  # fails a writer's send
+            with contextlib.suppress(queue.Full):  # a full outbox's writer is not in get()
+                client.outbox.put_nowait(None)  # wakes a writer waiting in get()
 
     def stream(self) -> ServeReport:
         """Paced broadcast loop: one frame per 1/fps tick until exhaustion."""

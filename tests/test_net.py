@@ -5,8 +5,11 @@ joins happen at exact frame boundaries; pacing is covered separately.
 """
 
 import io
+import itertools
+import queue
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -20,7 +23,7 @@ from sfix import wirecodec as wc
 from sfix.bench import read_metrics_csv
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
 from sfix.encode import encode_delta
-from sfix.ingest import SynthParams, VideoSource, gen_low_motion
+from sfix.ingest import SourceError, SynthParams, VideoSource, gen_low_motion
 
 
 def make_source(frames, fps=Fraction(25, 1)):
@@ -403,6 +406,31 @@ class TestJoinPath:
         assert late.samples == [f.samples for f in frames[30:]]
         assert report.clients_dropped == 0
 
+    def test_joins_racing_an_unpaced_burst_each_get_a_gap_free_stream(self):
+        # joiners are admitted while the broadcast runs, with the interpreter
+        # switching threads ~500 times more often than by default: a token
+        # published off its frame boundary would skip or repeat a frame
+        frames = synth_frames(150, seed=47)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server = net.StreamServer(make_source(frames)).start()
+        try:
+            joiners = []
+            for frame_no in range(150):
+                assert server.send_next_frame()
+                if frame_no % 20 == 5:
+                    joiners.append(Receiver(server.address))
+            assert server.wait_for_clients(len(joiners))
+            report = server.finish()
+        finally:
+            server.close()
+            sys.setswitchinterval(interval)
+        for joiner in joiners:
+            first = joiner.join().first_frame_no
+            assert joiner.samples == [f.samples for f in frames[first:]]
+        assert report.clients_total == len(joiners) == 8
+        assert report.clients_dropped == 0
+
 
 class TestDeparture:
     """A client leaves the fan-out list once, whichever way it goes."""
@@ -486,6 +514,117 @@ class TestBackPressure:
         finally:
             stalled.close()
             server.close()
+
+    def test_healthy_writer_delayed_once_is_not_cut(self, monkeypatch):
+        # a writer that loses 20 ms once, as it may waiting for the
+        # interpreter lock, while an unpaced burst fills its outbox
+        calls = itertools.count(1)
+        sendall = socket.socket.sendall
+
+        def delayed(sock, data, *args):
+            if next(calls) == 5:
+                time.sleep(0.02)
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", delayed)
+        frames = synth_frames(120, seed=37)
+        server = net.StreamServer(make_source(frames)).start()
+        try:
+            healthy = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            server.close()
+        assert healthy.join().frames_received == 120
+        assert healthy.samples == [f.samples for f in frames]
+        assert report.clients_dropped == 0
+
+    def test_grace_is_waited_out_with_no_lock_held(self, monkeypatch):
+        monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
+        waiting, release = threading.Event(), threading.Event()
+        put = queue.Queue.put
+
+        def held_put(outbox, item, block=True, timeout=None):
+            if timeout is not None and outbox.full():
+                waiting.set()  # the broadcast is in its grace for a full outbox
+                release.wait(10.0)
+            return put(outbox, item, block, timeout)
+
+        monkeypatch.setattr(queue.Queue, "put", held_put)
+        # 48 KiB of noise per frame fills the socket of a client that never reads
+        frames = noise_frames(120, FrameGeometry(128, 128, 3))
+        server = net.StreamServer(make_source(frames)).start()
+        stalled = socket.create_connection(server.address)
+        try:
+            assert server.wait_for_clients(1)
+
+            def broadcast_until_cut():
+                while server.client_count and server.send_next_frame():
+                    pass
+
+            broadcast = threading.Thread(target=broadcast_until_cut, daemon=True)
+            broadcast.start()
+            assert waiting.wait(10.0)
+            assert completes(lambda: server.client_count, timeout=1.0)
+            release.set()
+            broadcast.join(10.0)
+            assert not broadcast.is_alive()
+            assert server.client_count == 0
+            assert server.report.clients_dropped == 1
+        finally:
+            release.set()
+            stalled.close()
+            server.close()
+
+
+def threads_running(target, started_before):
+    """Threads alive now, not in started_before, whose target is `target`."""
+    return [
+        t for t in threading.enumerate()
+        if t not in started_before and t.name.endswith(f"({target.__name__})")
+    ]
+
+
+class TestThreadsEnd:
+    """Every server thread ends once the server is closed."""
+
+    def test_acceptor_ends_after_finish_and_close(self):
+        frames = synth_frames(5, seed=41)
+        server = net.StreamServer(make_source(frames)).start()
+        try:
+            client = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            while server.send_next_frame():
+                pass
+            server.finish()
+        finally:
+            server.close()
+        assert client.join().frames_received == 5
+        assert not server._acceptor.is_alive()
+
+    def test_close_after_a_source_error_ends_every_writer(self):
+        frames = synth_frames(8, seed=43)
+
+        def failing():
+            yield from frames[:4]
+            raise SourceError("frame 4 unreadable")
+
+        started_before = set(threading.enumerate())
+        source = VideoSource(frames[0].geometry, Fraction(1000, 1), failing())
+        server = net.StreamServer(source).start()
+        peer = socket.create_connection(server.address, timeout=10.0)
+        try:
+            assert server.wait_for_clients(1)
+            with pytest.raises(SourceError):
+                server.stream()
+        finally:
+            server.close()
+            peer.close()
+        assert eventually(
+            lambda: not threads_running(net.StreamServer._write_loop, started_before), timeout=1.0
+        )
 
 
 def scripted_server(blobs):
