@@ -20,7 +20,7 @@ from .core import (
     validate_delta,
 )
 from .decode import decode_delta, decode_prefix
-from .encode import advance_reference, encode_delta, segment_runs
+from .encode import advance_reference, encode_delta
 from .ingest import SynthParams, VideoSource, gen_low_motion, read_raw, read_y4m, write_y4m
 from .net import StreamServer, receive, serve
 from .wirecodec import parse_message, read_container, write_container
@@ -53,7 +53,6 @@ __all__ = [
     "read_y4m",
     "receive",
     "run_benchmark",
-    "segment_runs",
     "serve",
     "validate_delta",
     "write_container",

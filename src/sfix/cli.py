@@ -59,7 +59,8 @@ def _open_source(args: argparse.Namespace, stack: contextlib.ExitStack) -> inges
         if args.width is None or args.height is None:
             args.parser.error("--raw input requires --width and --height")
         geometry = FrameGeometry(args.width, args.height, args.channels)
-        return ingest.read_raw(stream, geometry, args.fps or Fraction(25, 1))
+        fps = getattr(args, "fps", None) or Fraction(25, 1)
+        return ingest.read_raw(stream, geometry, fps)
     return ingest.read_y4m(stream)
 
 
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest equal-value run collapsed to a repeat (>= 2, default 3)")
     p.add_argument("--report", required=True, help="per-frame CSV output path")
     p.add_argument("--summary", help="optional summary CSV output path")
-    p.add_argument("--fps", type=_fps_arg, help="frame rate for --raw input")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a deterministic synthetic low-motion video")

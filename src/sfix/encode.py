@@ -5,12 +5,13 @@ the new frame differs from the reference.  It makes a few numpy passes whose
 arrays hold one element per changed word, per differing sample (bytes or
 bools only) or per entry, never one per run of equal new values:
 
-* Stretch pass.  The frames are compared as 8-sample words.  Only the
-  changed words are XORed, and flag arithmetic on them gives each
-  stretch's first and last sample; their bytes give `vals`, the new
-  samples of every stretch in scan order.  A frame whose length is not a
-  multiple of 8 compares its last samples as one zero-padded word.  The
-  gaps between stretches are COPY_FROM_REF entries (temporal redundancy).
+* Stretch pass, `segment_runs`.  The frames are compared as 8-sample
+  words.  Only the changed words are XORed, and flag arithmetic on them
+  gives each stretch's first and last sample; their bytes give `vals`,
+  the new samples of every stretch in scan order.  A frame whose length
+  is not a multiple of 8 compares its last samples as one zero-padded
+  word.  The gaps between stretches are COPY_FROM_REF entries (temporal
+  redundancy).
 * Repeat pass (spatio mode only).  Inside a stretch, runs of equal
   neighbours (`vals[1:] == vals[:-1]`) are found by their edges alone.
   Each run of >= min_repeat_run samples becomes one REPEAT_FROM_DIFF with
@@ -24,16 +25,10 @@ bools only) or per entry, never one per run of equal new values:
   and after the last stretch, giving the index records in order.
 
 The standard baseline mode skips the repeat pass and copies every stretch
-literally, so it only ever emits -1/-2/-3.  `segment_runs` describes the
-stretches and the equal gaps between them as objects for callers that want
-them; the encoder does not use it.
+literally, so it only ever emits -1/-2/-3.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
-from itertools import cycle
 
 import numpy as np
 
@@ -67,20 +62,6 @@ _OPENS_REPEAT = 2
 _ENDS_REPEAT = 4
 
 
-class RunKind(Enum):
-    EQUAL = "equal"
-    DIFFERING = "differing"
-
-
-@dataclass(frozen=True)
-class RunSegment:
-    """A maximal run of the equality mask: [start, start+length) samples."""
-
-    kind: RunKind
-    start: int
-    length: int
-
-
 def _require_same_geometry(ref: Frame, new: Frame) -> None:
     if ref.geometry != new.geometry:
         raise GeometryMismatch(f"{ref.geometry} != {new.geometry}")
@@ -105,7 +86,8 @@ def _changed_words(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.n
     return words, old, cur
 
 
-def _stretches(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# perfbench/spans.py times this pass by this name.
+def segment_runs(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The differing stretches: their [start, end) sample positions and new samples.
 
     The third array holds the new samples of every stretch, concatenated in
@@ -154,23 +136,6 @@ def _repeats(vals: np.ndarray, firsts: np.ndarray, min_run: int) -> tuple[np.nda
     return start[long], end[long]
 
 
-def segment_runs(ref: Frame, new: Frame) -> list[RunSegment]:
-    """Split the sample range into maximal alternating equal/differing runs.
-
-    The runs tile [0, total_samples) exactly and adjacent runs always have
-    different kinds.
-    """
-    _require_same_geometry(ref, new)
-    start, end, _ = _stretches(ref.samples, new.samples)
-    # Equal gap, stretch, equal gap, ...: only the outer gaps can be empty.
-    bounds = [0, *np.column_stack((start, end)).ravel().tolist(), len(new.samples)]
-    return [
-        RunSegment(kind, s, e - s)
-        for kind, s, e in zip(cycle(RunKind), bounds, bounds[1:])
-        if e > s
-    ]
-
-
 def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -> FrameDelta:
     """Encode `new` against `ref` under the given configuration.
 
@@ -181,7 +146,7 @@ def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -
     if ref.samples == new.samples:
         return EQUAL_FRAMES_DELTA
 
-    start, end, vals = _stretches(ref.samples, new.samples)
+    start, end, vals = segment_runs(ref.samples, new.samples)
     lengths = end - start
     firsts = np.cumsum(lengths) - lengths  # each stretch's first sample in vals
     if cfg.mode is EncoderMode.SPATIO_TEMPORAL:

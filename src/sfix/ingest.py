@@ -116,6 +116,8 @@ def read_y4m(stream: BinaryIO) -> VideoSource:
             elif tag == "F":
                 num, den = value.split(":")
                 fps = Fraction(int(num), int(den))
+                if fps < 0:
+                    raise ValueError("negative frame rate")
             elif tag == "C":
                 colorspace = value
             # I (interlace), A (aspect), X (extension) carry no sample data
@@ -124,7 +126,10 @@ def read_y4m(stream: BinaryIO) -> VideoSource:
     if width is None or height is None or width < 1 or height < 1:
         raise BadSignature("header missing a positive W and H")
 
-    geometry = _effective_geometry(width, height, colorspace)
+    try:
+        geometry = _effective_geometry(width, height, colorspace)
+    except ValueError as exc:
+        raise BadSignature(f"header size W{width} H{height}: {exc}") from None
 
     def frames() -> Iterator[Frame]:
         frame_size = geometry.total_samples

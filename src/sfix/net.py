@@ -86,11 +86,15 @@ def _shut(sock: socket.socket) -> None:
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
     """Accept 'host:port' strings (IPv6 in brackets) or (host, port) pairs."""
     if isinstance(address, tuple):
-        return address
-    host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"address must look like host:port, got {address!r}")
-    return host.strip("[]") or "127.0.0.1", int(port)
+        parsed = address
+    else:
+        host, sep, port = address.rpartition(":")
+        if not sep or not port.isdigit():
+            raise ValueError(f"address must look like host:port, got {address!r}")
+        parsed = (host.strip("[]") or "127.0.0.1", int(port))
+    if not 0 <= parsed[1] <= 0xFFFF:
+        raise ValueError(f"port must be in 0..65535, got {parsed[1]}")
+    return parsed
 
 
 @dataclass

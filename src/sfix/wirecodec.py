@@ -119,6 +119,12 @@ class Hello:
     fps_den: int
     baseline: bool = False
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.fps_num <= 0xFFFF and 0 <= self.fps_den <= 0xFFFF):
+            raise ValueError(
+                f"frame rate {self.fps_num}:{self.fps_den} does not fit HELLO's u16 fields"
+            )
+
     @property
     def fps(self) -> Fraction:
         """The session's frame rate; 25 when fps_den is 0."""

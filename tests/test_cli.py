@@ -56,6 +56,11 @@ class TestUsageErrors:
             cli.main(["encode", "--input", "a", "--output", "b", "--fps", "0"])
         assert exc.value.code == 2
 
+    def test_bench_has_no_fps_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--input", "a", "--report", "r.csv", "--fps", "25"])
+        assert exc.value.code == 2
+
     def test_raw_without_geometry_is_usage_error(self, tmp_path):
         raw = tmp_path / "frames.raw"
         raw.write_bytes(bytes(64))
@@ -166,6 +171,24 @@ class TestEncodeDecode:
         rc = cli.main(["decode", "--input", str(future), "--output", str(tmp_path / "o.y4m")])
         assert rc == 1
         assert "version 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", ["100000", "59.94006"])
+    def test_rate_past_the_hello_fields_is_runtime_error(self, tmp_path, capsys, fps):
+        video = gen_video(tmp_path, frames=2)
+        out = tmp_path / "v.sfix"
+        rc = cli.main(["encode", "--input", str(video), "--output", str(out), "--fps", fps])
+        assert rc == 1
+        assert "sfix: error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("v.sfix*")) == []
+
+    @pytest.mark.parametrize("rate", ["F70000:1", "F-25:1"])
+    def test_y4m_rate_the_hello_cannot_carry_is_runtime_error(self, tmp_path, capsys, rate):
+        video = tmp_path / "in.y4m"
+        video.write_bytes(f"YUV4MPEG2 W4 H2 {rate} Cmono\nFRAME\n".encode() + bytes(8))
+        out = tmp_path / "v.sfix"
+        assert cli.main(["encode", "--input", str(video), "--output", str(out)]) == 1
+        assert "sfix: error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("v.sfix*")) == []
 
     def test_failed_decode_leaves_no_partial_output(self, tmp_path):
         from sfix.core import FrameGeometry
@@ -304,6 +327,14 @@ class TestBenchCommand:
                        "--report", str(report)])
         assert rc == 0
         assert "improvement:" not in capsys.readouterr().out
+
+
+class TestServeCommand:
+    def test_serve_port_outside_u16_is_runtime_error(self, tmp_path, capsys):
+        video = gen_video(tmp_path, frames=2)
+        rc = cli.main(["serve", "--input", str(video), "--listen", "127.0.0.1:70000"])
+        assert rc == 1
+        assert "sfix: error: port" in capsys.readouterr().err
 
 
 class TestRecvCommand:

@@ -27,7 +27,7 @@ from sfix.core import (
 from sfix import wirecodec
 from sfix.ingest import SynthParams, gen_low_motion
 from sfix.decode import decode_delta
-from sfix.encode import RunKind, RunSegment, advance_reference, encode_delta, segment_runs
+from sfix.encode import advance_reference, encode_delta, segment_runs
 
 
 def as_pairs(delta):
@@ -47,16 +47,10 @@ def test_golden_pair_baseline_index_and_diff(golden_ref, golden_new, baseline_cf
 
 
 def test_golden_pair_run_segmentation(golden_ref, golden_new):
-    segs = segment_runs(golden_ref, golden_new)
-    assert segs == [
-        RunSegment(RunKind.EQUAL, 0, 4),
-        RunSegment(RunKind.DIFFERING, 4, 4),
-        RunSegment(RunKind.EQUAL, 8, 4),
-        RunSegment(RunKind.DIFFERING, 12, 10),
-        RunSegment(RunKind.EQUAL, 22, 5),
-        RunSegment(RunKind.DIFFERING, 27, 14),
-        RunSegment(RunKind.EQUAL, 41, 29),
-    ]
+    start, end, vals = segment_runs(golden_ref.samples, golden_new.samples)
+    assert start.tolist() == [4, 12, 27]
+    assert end.tolist() == [8, 22, 41]
+    assert vals.tobytes() == b"".join(golden_new.samples[s:e] for s, e in zip(start, end))
 
 
 def test_baseline_never_emits_repeat(golden_ref, golden_new, baseline_cfg):
@@ -74,8 +68,6 @@ def test_geometry_mismatch_rejected():
     b = Frame(FrameGeometry(2, 2), bytes(4))
     with pytest.raises(GeometryMismatch):
         encode_delta(a, b)
-    with pytest.raises(GeometryMismatch):
-        segment_runs(a, b)
 
 
 class TestMinRepeatRun:
@@ -180,17 +172,20 @@ def frame_pairs(draw):
 @given(frame_pairs())
 @settings(max_examples=150, deadline=None)
 def test_segmentation_tiles_and_alternates(pair):
+    """Stretches differ at every sample, the gaps between them are equal, and
+    only the gaps before the first and after the last may be empty."""
     ref, new = pair
-    segs = segment_runs(ref, new)
-    assert segs[0].start == 0
-    for left, right in zip(segs, segs[1:]):
-        assert left.start + left.length == right.start
-        assert left.kind is not right.kind
-    assert segs[-1].start + segs[-1].length == ref.geometry.total_samples
-    for seg in segs:
-        span = slice(seg.start, seg.start + seg.length)
-        same = [a == b for a, b in zip(ref.samples[span], new.samples[span])]
-        assert all(same) if seg.kind is RunKind.EQUAL else not any(same)
+    start, end, vals = segment_runs(ref.samples, new.samples)
+    bounds = [0, *np.column_stack((start, end)).ravel().tolist(), len(new.samples)]
+    assert bounds == sorted(bounds)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        same = [a == b for a, b in zip(ref.samples[lo:hi], new.samples[lo:hi])]
+        if i % 2:  # a stretch
+            assert hi > lo and not any(same)
+        else:  # an equal gap
+            assert all(same)
+            assert hi > lo or i in (0, len(bounds) - 2)
+    assert vals.tobytes() == b"".join(new.samples[s:e] for s, e in zip(start, end))
 
 
 @given(frame_pairs(), st.integers(2, 5))

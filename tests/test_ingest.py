@@ -68,6 +68,15 @@ class TestReadY4m:
         with pytest.raises(ingest.BadSignature):
             ingest.read_y4m(y4m_bytes("YUV4MPEG2 W4 H2 Fx Cmono"))
 
+    @pytest.mark.parametrize("rate", ["F-25:1", "F25:-1", "F1:0"])
+    def test_negative_or_undefined_rate(self, rate):
+        with pytest.raises(ingest.BadSignature):
+            ingest.read_y4m(y4m_bytes(f"YUV4MPEG2 W4 H2 {rate} Cmono", bytes(8)))
+
+    def test_size_past_32_bits(self):
+        with pytest.raises(ingest.BadSignature, match="32 bits"):
+            ingest.read_y4m(y4m_bytes("YUV4MPEG2 W100000 H100000 Cmono"))
+
     def test_unsupported_colorspace(self):
         with pytest.raises(ingest.UnsupportedColorspace):
             ingest.read_y4m(y4m_bytes("YUV4MPEG2 W4 H2 C444", bytes(24)))

@@ -89,7 +89,10 @@ class TestParseAddress:
     def test_empty_host_defaults_to_loopback(self):
         assert net.parse_address(":9000") == ("127.0.0.1", 9000)
 
-    @pytest.mark.parametrize("bad", ["nocolon", "host:", "host:port", "host:-1x"])
+    @pytest.mark.parametrize("bad", [
+        "nocolon", "host:", "host:port", "host:-1x",
+        "127.0.0.1:70000", ("127.0.0.1", 70000), ("127.0.0.1", -1),
+    ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             net.parse_address(bad)
@@ -726,6 +729,10 @@ class TestProtocolPolicing:
 
 
 class TestConnectionErrors:
+    def test_rate_past_the_hello_fields_rejected(self):
+        with pytest.raises(ValueError, match="u16"):
+            net.StreamServer(make_source(synth_frames(1)), fps=Fraction(70000))
+
     def test_bind_failure(self):
         taken = socket.create_server(("127.0.0.1", 0))
         try:

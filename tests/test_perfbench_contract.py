@@ -62,6 +62,7 @@ def test_hot_path_calls_layers_through_module_globals(spans, golden_ref, golden_
     recorded = {span["name"] for span in tracer.spans}
     assert {
         "encode.encode_delta",
+        "encode.segment_runs",
         "wirecodec.delta_to_message",
         "wirecodec.serialize_index",
         "wirecodec.compress",

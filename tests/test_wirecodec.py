@@ -157,6 +157,11 @@ class TestMessageFraming:
         msg = wc.Hello(FrameGeometry(10, 7, 1), 25, 1, baseline=True)
         assert wc.frame_message(msg)[-1] == 0x01
 
+    @pytest.mark.parametrize("num, den", [(70000, 1), (1, 70000), (-25, 1), (2997003, 50000)])
+    def test_hello_rejects_a_rate_past_its_u16_fields(self, num, den):
+        with pytest.raises(ValueError, match="u16"):
+            wc.Hello(FrameGeometry(10, 7, 1), num, den)
+
     def test_end_exact_bytes(self):
         assert wc.frame_message(wc.End()) == b"\x04\x00\x00\x00\x00"
 
