@@ -116,8 +116,8 @@ def read_y4m(stream: BinaryIO) -> VideoSource:
             elif tag == "F":
                 num, den = value.split(":")
                 fps = Fraction(int(num), int(den))
-                if fps < 0:
-                    raise ValueError("negative frame rate")
+                if fps <= 0:  # as `sfix encode --fps`; a zero rate would stream unpaced
+                    raise ValueError("non-positive frame rate")
             elif tag == "C":
                 colorspace = value
             # I (interlace), A (aspect), X (extension) carry no sample data

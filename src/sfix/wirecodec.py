@@ -26,14 +26,27 @@ written as stored blocks (RFC 1951 section 3.2.4), which cost 5 bytes per
 choice reads only the input bytes, so the same input still gives the same
 stream, and every inflater reads stored blocks, so readers need no change.
 
+A buffer deflated at COMPRESSION_LEVEL that is longer than 512 KiB (a
+1920x1620 keyframe, say) is cut into ceil(n / 512 KiB) near-equal parts,
+which worker threads deflate in parallel at a lower CPU priority, as pigz
+does.  Each part is raw DEFLATE primed with the 32 KiB of input before it;
+every part but the last ends in a sync flush, so the parts join into one
+ordinary zlib stream (header 78 9C, the parts, the adler32 of the whole
+buffer).  Part bounds depend only on the length, so the same input still
+gives the same bytes whatever the thread count or timing.
+
 The `.sfix` container is magic "SFIX", a version byte, then one session's
 message stream verbatim: HELLO first, END last.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
@@ -70,6 +83,10 @@ _PROBE_WINDOW = 512
 _STORED_BLOCK = 0xFFFF  # a stored block's LEN field is 16 bits
 _STORED_BLOCK_HEADER = struct.Struct("<BHH")  # BFINAL/BTYPE=00 byte, LEN, NLEN
 _ZLIB_STORED_HEADER = b"\x78\x01"  # RFC 1950: deflate, 32 KiB window, FLEVEL 0
+_PART = 512 << 10  # deflated buffers longer than this are cut into parts
+_WINDOW = 32 << 10  # DEFLATE's window: the input that primes the next part
+_ZLIB_HEADER = zlib.compress(b"", COMPRESSION_LEVEL)[:2]  # 78 9C at level 6
+_PART_NICE = 10  # nice value of the part workers, so the broadcast comes first
 
 
 class WireFormatError(Exception):
@@ -172,9 +189,16 @@ def deserialize_index(data: bytes) -> np.ndarray:
 
 
 def compress(data: bytes) -> bytes:
-    """A zlib stream of `data`: stored blocks if a sample barely deflates, else level 6."""
+    """A zlib stream of `data`: stored blocks if a sample barely deflates, else level 6.
+
+    Level 6 past 512 KiB is deflated in parts on low-priority worker
+    threads, and joined into one zlib stream whose bytes depend only on
+    `data`.
+    """
     if len(data) > _PROBE_ABOVE and _barely_deflates(data):
         return _stored(data)
+    if len(data) > _PART:
+        return _deflate_parted(data)
     return zlib.compress(data, COMPRESSION_LEVEL)
 
 
@@ -198,6 +222,53 @@ def _stored(data: bytes) -> bytes:
         parts += (_STORED_BLOCK_HEADER.pack(final, len(block), len(block) ^ 0xFFFF), block)
     parts.append(zlib.adler32(data).to_bytes(4, "big"))
     return b"".join(parts)
+
+
+def _deflate_parted(data: bytes) -> bytes:
+    """`data` as one level-6 zlib stream, deflated in parts by worker threads.
+
+    The caller only waits: it keeps its own priority and deflates nothing,
+    so the threads it might delay (a broadcast, say) are not held back.
+    """
+    view = memoryview(data)
+    n = len(view)
+    count = -(-n // _PART)
+    bounds = [n * i // count for i in range(count + 1)]
+    with ThreadPoolExecutor(min(_cpus(), count), initializer=_lower_priority) as pool:
+        parts = list(pool.map(
+            lambda i: _deflate_part(view, bounds[i], bounds[i + 1], i == count - 1),
+            range(count),
+        ))
+    return b"".join((_ZLIB_HEADER, *parts, zlib.adler32(view).to_bytes(4, "big")))
+
+
+def _deflate_part(view: memoryview, start: int, end: int, last: bool) -> bytes:
+    """Raw DEFLATE of view[start:end], primed with the window before it."""
+    primer = {"zdict": view[start - _WINDOW:start]} if start else {}
+    deflater = zlib.compressobj(COMPRESSION_LEVEL, zlib.DEFLATED, -15, **primer)
+    body = deflater.compress(view[start:end])
+    return body + deflater.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lower_priority() -> None:
+    """Give the calling thread nice value _PART_NICE, or keep a higher one.
+
+    Only on Linux is a nice value per thread; elsewhere it would apply to
+    the whole process, so threads there keep the default priority.  A
+    thread started by a caller past _PART_NICE keeps the caller's value:
+    raising a thread's priority needs privilege.
+    """
+    if sys.platform.startswith("linux"):
+        tid = threading.get_native_id()
+        nice = max(os.getpriority(os.PRIO_PROCESS, tid), _PART_NICE)
+        os.setpriority(os.PRIO_PROCESS, tid, nice)
 
 
 def decompress(data: bytes, expected_raw_len: int) -> bytes:

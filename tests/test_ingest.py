@@ -73,6 +73,11 @@ class TestReadY4m:
         with pytest.raises(ingest.BadSignature):
             ingest.read_y4m(y4m_bytes(f"YUV4MPEG2 W4 H2 {rate} Cmono", bytes(8)))
 
+    def test_zero_rate_rejected(self):
+        # as `sfix encode --fps 0` is; a server would stream it unpaced
+        with pytest.raises(ingest.BadSignature):
+            ingest.read_y4m(y4m_bytes("YUV4MPEG2 W4 H2 F0:1 Cmono", bytes(8), bytes(8)))
+
     def test_size_past_32_bits(self):
         with pytest.raises(ingest.BadSignature, match="32 bits"):
             ingest.read_y4m(y4m_bytes("YUV4MPEG2 W100000 H100000 Cmono"))

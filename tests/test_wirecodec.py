@@ -2,12 +2,16 @@
 
 import io
 import math
+import os
 import random
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,28 @@ def golden_delta():
     return FrameDelta(
         tuple(IndexEntry(IndexCode(c), n) for c, n in GOLDEN_INDEX), bytes(GOLDEN_DIFF)
     )
+
+
+def compressible(n):
+    """n bytes in runs of 16 random values: they deflate to ~12%, so are never stored."""
+    values = np.random.default_rng(n).integers(0, 256, n // 16 + 1, dtype=np.uint8)
+    return values.repeat(16)[:n].tobytes()
+
+
+def serial_parts(data):
+    """The parted stream built in order on one thread: what compress() must equal."""
+    n = len(data)
+    count = math.ceil(n / (512 << 10))
+    bounds = [n * i // count for i in range(count + 1)]
+    out = [b"\x78\x9c"]
+    for i in range(count):
+        start, end = bounds[i], bounds[i + 1]
+        primer = {"zdict": data[start - (32 << 10):start]} if i else {}
+        deflater = zlib.compressobj(6, zlib.DEFLATED, -15, **primer)
+        out.append(deflater.compress(data[start:end]))
+        out.append(deflater.flush(zlib.Z_FINISH if i == count - 1 else zlib.Z_SYNC_FLUSH))
+    out.append(zlib.adler32(data).to_bytes(4, "big"))
+    return b"".join(out)
 
 
 class TestIndexSerialization:
@@ -120,7 +146,9 @@ class TestCompressionPolicy:
             assert wc.compress(data) == zlib.compress(data, 6)
 
     def test_same_input_same_bytes(self):
-        for data in (random.Random(9).randbytes(100_000), bytes(range(256)) * 400):
+        for data in (
+            random.Random(9).randbytes(100_000), bytes(range(256)) * 400, compressible(1 << 20),
+        ):
             assert wc.compress(data) == wc.compress(bytes(bytearray(data)))
 
     def test_buried_keyframe_is_stored_only_while_incompressible(self):
@@ -134,7 +162,7 @@ class TestCompressionPolicy:
         for frame_no, frame in enumerate(gen_low_motion(params)):
             samples = frame.samples
             level6 = zlib.compress(samples, 6)
-            stored = wc.compress(samples) != level6
+            stored = (wc.compress(samples)[2] >> 1) & 0b11 == 0  # first block's BTYPE
             if len(level6) <= 0.9 * len(samples):
                 assert not stored, frame_no
                 seen.add("deflated")
@@ -142,6 +170,89 @@ class TestCompressionPolicy:
                 assert stored, frame_no
                 seen.add("stored")
         assert seen == {"stored", "deflated"}
+
+
+class TestPartedDeflate:
+    """Past 512 KiB, compress() deflates primed parts on worker threads."""
+
+    @pytest.mark.parametrize("n", [(512 << 10) + 1, 1 << 20, 1920 * 1620])
+    def test_parts_join_into_one_pinned_zlib_stream(self, n):
+        data = compressible(n)
+        out = wc.compress(data)
+        assert zlib.decompress(out) == data
+        assert wc.decompress(out, n) == data
+        assert out == serial_parts(data)
+        assert len(out) <= 1.001 * len(zlib.compress(data, 6))
+
+    def test_512_kib_is_one_part(self):
+        data = compressible(512 << 10)
+        assert wc.compress(data) == zlib.compress(data, 6)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="per-thread nice is Linux's")
+    @pytest.mark.parametrize("caller_nice", [None, 15])
+    def test_parts_are_deflated_at_nice_10(self, monkeypatch, caller_nice):
+        # a caller already past +10 is not raised to it: that needs privilege
+        def nice():
+            return os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+
+        seen = []
+        deflate_part = wc._deflate_part
+
+        def recording(*args):
+            seen.append((threading.get_ident(), nice()))
+            return deflate_part(*args)
+
+        monkeypatch.setattr(wc, "_deflate_part", recording)
+        data = compressible(3 << 20)
+        caller = {}
+
+        def call():  # on its own thread, so its nice value ends with it
+            if caller_nice is not None:
+                os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), caller_nice)
+            caller["ident"], caller["before"] = threading.get_ident(), nice()
+            caller["out"] = wc.compress(data)
+            caller["after"] = nice()
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert caller["out"] == serial_parts(data)
+        assert len(seen) == 6
+        assert {value for _, value in seen} == {max(caller["before"], 10)}
+        assert caller["ident"] not in {ident for ident, _ in seen}
+        assert caller["after"] == caller["before"]
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        workers = []
+        deflate_part = wc._deflate_part
+
+        def recording(*args):
+            workers.append(threading.current_thread())
+            return deflate_part(*args)
+
+        monkeypatch.setattr(wc, "_deflate_part", recording)
+        before = set(threading.enumerate())
+        wc.compress(compressible(2 << 20))
+        assert workers and not any(t.is_alive() for t in workers)
+        assert set(threading.enumerate()) <= before
+
+    def test_concurrent_callers_round_trip(self):
+        inputs = [compressible((1 << 20) + 1000 * k) for k in range(4)]
+        results = [None] * len(inputs)
+
+        def run(k):
+            results[k] = wc.compress(inputs[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for data, out in zip(inputs, results):
+            assert wc.decompress(out, len(data)) == data
+            assert out == serial_parts(data)
 
 
 class TestMessageFraming:
