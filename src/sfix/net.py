@@ -1,36 +1,32 @@
 """Live streaming over TCP: encode once on the server, fan out to clients.
 
 This module is the I/O around session.py's rules.  One thread owns the
-source and a SessionEncoder and broadcasts each frame's wire bytes to
-every connected client; an acceptor thread admits clients; one writer
-thread per client drains its bounded outbox.  Every message, frames and
-END alike, goes out by one rule, StreamServer._broadcast: a client whose
-outbox is still full after a short grace, waited out with no lock held, is
-cut as a slow consumer.  A client leaves the fan-out list one way,
-StreamServer._drop: when the broadcast cuts it, or when its writer's send
-fails (the peer has gone).  receive() reads messages off the socket and
-hands each to a SessionDecoder.
+source and a SessionEncoder and broadcasts each frame's wire bytes.  One
+loop thread owns the listener and every client socket, non-blocking, and
+sends each client what its kernel buffer takes from its queue of shared
+framed blobs.  Every message goes out by one rule, StreamServer._broadcast,
+which cuts a client holding more than OUTBOX_SIZE blobs as a slow consumer
+if none of its bytes move until the loop's next pass has tried it: no
+timer, and no lock held while it waits.  A client leaves the fan-out list
+one way, StreamServer._drop: when the broadcast cuts it, or when a send
+fails.  receive() reads messages off the socket for a SessionDecoder.
 
-A client joining mid-stream is bootstrapped with HELLO plus a REF_FRAME
-snapshot of the reference current when it connected, after which it
-receives the same deltas as everyone else.  The broadcast publishes that
-reference in the same lock hold as the frame's bytes, so a joiner's
-keyframe and its first delta sit on one frame boundary.  The snapshot is
-compressed by the joiner's own writer thread with no lock held: the
-acceptor only queues a token for it, so a join never stalls the broadcast
-to the other clients, and the deltas broadcast meanwhile wait in the
-joiner's bounded outbox like any other client's.
+A client joining mid-stream gets HELLO, a REF_FRAME of the reference
+current when it connected, then the deltas everyone gets.  The keyframe is
+compressed with no lock held, on a thread that ends once it is queued; the
+deltas broadcast meanwhile are held behind it; the joiner is judged after.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import queue
+import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -58,10 +54,9 @@ from .wirecodec import delta_to_message, message_to_delta, message_to_samples  #
 
 log = logging.getLogger("sfix.net")
 
-OUTBOX_SIZE = 32  # messages queued per client before the broadcast waits on it
+OUTBOX_SIZE = 32  # blobs a client may hold after a broadcast before the loop must move its bytes
 _JOIN_TIMEOUT = 10.0
 _END_TYPE = bytes((MSG_END,))
-_WRITER_GRACE = 0.05  # outlasts a healthy writer's ~17 ms waits for the interpreter lock
 
 
 class BindFailure(NetError):
@@ -74,13 +69,6 @@ class ConnectFailure(NetError):
 
 class DecodeFailure(NetError):
     """A received payload could not be decompressed or reconstructed."""
-
-
-def _shut(sock: socket.socket) -> None:
-    """Close a socket so that a thread blocked in a call on it wakes."""
-    with contextlib.suppress(OSError):  # not connected, or already closed
-        sock.shutdown(socket.SHUT_RDWR)
-    sock.close()
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
@@ -114,32 +102,21 @@ class ReceiveReport:
     baseline: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Client:
     sock: socket.socket
-    outbox: queue.Queue
     peer: str
-    writer: Optional[threading.Thread] = None
-
-
-@dataclass(frozen=True)
-class _Bootstrap:
-    """Outbox token: send HELLO, then a REF_FRAME of `ref` if there is one.
-
-    The writer thread compresses the keyframe when it dequeues the token, so
-    the broadcast lock is never held around it.  `Frame` is immutable, so
-    holding the reference here is safe while the broadcast moves on.
-    """
-
-    ref_no: int
-    ref: Optional[Frame]
+    outbox: deque = field(default_factory=deque)  # framed blobs, shared; only the loop pops
+    sent: int = 0  # bytes of outbox[0] the kernel has taken
+    held: Optional[list] = None  # blobs broadcast while its keyframe compresses
+    moved: int = 0  # bytes the kernel has taken from it in all
 
 
 class StreamServer:
     """Fan-out streaming session over one source.
 
-    start() binds and begins accepting; stream() runs the paced broadcast
-    loop to source exhaustion and returns the session report.  Tests can
+    start() binds and starts the loop; stream() runs the paced broadcast
+    to source exhaustion and returns the session report.  Tests can
     instead drive send_next_frame()/finish() directly for deterministic
     frame-boundary control.
     """
@@ -157,29 +134,34 @@ class StreamServer:
         self._session = SessionEncoder(source.geometry, self._fps, config)
         self._hello_blob = frame_message(self._session.hello)
         self._lock = threading.Lock()
+        self._passed = threading.Condition(self._lock)  # notified as each loop pass ends
         self._clients: list[_Client] = []
-        self._bootstrap = _Bootstrap(-1, None)  # what a joiner starts from; None once END is out
+        self._ref: Optional[tuple] = (-1, None)  # (frame_no, reference) a joiner starts from
+        self._passes = self._passes_done = 0  # loop passes begun, and the last one ended
+        self._stopping = False
         self._listener: Optional[socket.socket] = None
-        self._acceptor: Optional[threading.Thread] = None
+        self._loop: Optional[threading.Thread] = None
         self.report = ServeReport()
-
-    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "StreamServer":
         try:
             self._listener = socket.create_server(self._bind_address)
         except OSError as exc:
             raise BindFailure(f"cannot bind {self._bind_address}: {exc}") from exc
-        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        self._acceptor.start()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._listener.setblocking(False)
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._loop = threading.Thread(target=self._serve_loop, daemon=True)
+        self._loop.start()
         log.info("serving on %s:%d", *self.address)
         return self
 
     @property
     def address(self) -> tuple[str, int]:
         assert self._listener is not None, "server not started"
-        addr = self._listener.getsockname()
-        return addr[0], addr[1]
+        return self._listener.getsockname()[:2]
 
     @property
     def client_count(self) -> int:
@@ -187,85 +169,109 @@ class StreamServer:
             return len(self._clients)
 
     def wait_for_clients(self, n: int, timeout: float = 5.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.client_count >= n:
-                return True
-            time.sleep(0.002)
-        return self.client_count >= n
+        with self._passed:  # the loop lists a client in the pass that admits it
+            return self._passed.wait_for(lambda: len(self._clients) >= n, timeout)
 
-    # -- accepting ---------------------------------------------------------
+    def _serve_loop(self) -> None:
+        """Admit clients and send each what its kernel buffer takes, until close()."""
+        owned: list[_Client] = []  # every client whose socket is open
+        try:
+            while not self._stopping:
+                for key, _ in self._selector.select():
+                    if key.fileobj is self._listener:
+                        self._admit(owned)
+                    elif key.fileobj is self._wake_r:
+                        self._wake_r.recv(4096)
+                with self._lock:
+                    self._passes += 1
+                    pass_no, listed = self._passes, set(self._clients)
+                owned = [c for c in owned if self._flush(c, c in listed)]
+                with self._passed:
+                    self._passes_done = pass_no
+                    self._passed.notify_all()
+        finally:
+            self._selector.close()
+            for sock in [c.sock for c in owned] + [self._listener, self._wake_r, self._wake_w]:
+                sock.close()
+            with self._passed:
+                self._stopping = True
+                self._passed.notify_all()
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            self._admit(sock, f"{addr[0]}:{addr[1]}")
-
-    def _admit(self, sock: socket.socket, peer: str) -> None:
+    def _admit(self, owned: list[_Client]) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except OSError:  # the peer left before it was accepted
+            return
+        sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client = _Client(sock, queue.Queue(maxsize=OUTBOX_SIZE), peer)
+        client = _Client(sock, f"{addr[0]}:{addr[1]}", deque([self._hello_blob]))
         with self._lock:
-            # the token and the client's first delta sit on one frame boundary;
-            # the outbox is empty, so it fits.  None (END is out) stops the writer.
-            client.outbox.put_nowait(self._bootstrap)
-            if self._bootstrap is not None:
+            ref = self._ref
+            if ref is not None:  # None: END is out
+                client.held = None if ref[1] is None else []
                 self._clients.append(client)
                 self.report.clients_total += 1
-        # finish() joins writers once this thread has ended, so each has started
-        client.writer = threading.Thread(target=self._write_loop, args=(client,), daemon=True)
-        client.writer.start()
-
-    def _write_loop(self, client: _Client) -> None:
-        try:
-            while True:
-                blob = client.outbox.get()
-                if blob is None:
-                    return
-                if isinstance(blob, _Bootstrap):
-                    client.sock.sendall(self._hello_blob)
-                    blob = self._keyframe(client, blob)
-                client.sock.sendall(blob)
-                if blob[:1] == _END_TYPE:  # END is the last message a client gets
-                    return
-        except OSError as exc:
-            with self._lock:
-                self._drop(client, f"send failed: {exc}")
-        finally:
-            client.sock.close()
-
-    def _keyframe(self, client: _Client, token: _Bootstrap) -> bytes:
-        """The joiner's REF_FRAME; runs on its writer thread with no lock held."""
-        if token.ref is None:
+        if ref is None:
+            sock.close()
+            return
+        owned.append(client)
+        if ref[1] is None:
             log.info("client %s joined before the first frame", client.peer)
-            return b""
+        else:
+            threading.Thread(target=self._keyframe, args=(client, *ref), daemon=True).start()
+
+    def _keyframe(self, client: _Client, ref_no: int, ref: Frame) -> None:
+        """Queue the joiner's REF_FRAME, compressed with no lock held, then what it held."""
         started = time.perf_counter()
-        blob = frame_message(samples_to_message(token.ref_no, token.ref.samples))
+        blob = frame_message(samples_to_message(ref_no, ref.samples))
         compress_ms = (time.perf_counter() - started) * 1e3
         with self._lock:
             self.report.snapshot_calls += 1
-        log.info(
-            "client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
-            client.peer, token.ref_no, len(blob), compress_ms,
-        )
-        return blob
+            client.outbox.extend([blob, *client.held])
+            client.held = None
+        self._wake()
+        log.info("client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
+                 client.peer, ref_no, len(blob), compress_ms)
+
+    def _flush(self, client: _Client, keep: bool) -> bool:
+        """Send what the kernel takes; False once the socket closes: END sent, or off the list."""
+        try:
+            while keep and client.outbox:
+                blob = client.outbox[0]
+                moved = client.sock.send(memoryview(blob)[client.sent:])
+                client.sent += moved
+                client.moved += moved
+                if client.sent == len(blob):
+                    client.outbox.popleft()
+                    client.sent = 0
+                    keep = blob[:1] != _END_TYPE  # END is the last message a client gets
+        except BlockingIOError:
+            pass  # the kernel buffer is full: wait in the selector for room
+        except OSError as exc:
+            with self._lock:
+                self._drop(client, f"send failed: {exc}")
+            keep = False
+        watched = client.sock in self._selector.get_map()
+        if keep and client.outbox and not watched:
+            self._selector.register(client.sock, selectors.EVENT_WRITE)
+        elif watched and not (keep and client.outbox):
+            self._selector.unregister(client.sock)
+        if not keep:
+            client.sock.close()
+        return keep
+
+    def _wake(self) -> None:
+        """Make the loop run a pass."""
+        if self._loop is not None:
+            with contextlib.suppress(OSError):  # closed: the loop has ended
+                self._wake_w.send(b"\0")
 
     def _drop(self, client: _Client, reason: str) -> None:
-        """Take a client off the fan-out list and count it as dropped.
-
-        The one way off the list for a client that stops receiving; the
-        caller holds the lock.  A client already off the list is left
-        alone, so a writer whose send fails after the broadcast cut it
-        (closing its socket fails that send) is not counted twice.
-        Shutting the socket down unblocks the writer.
-        """
+        """Take a client off the fan-out list, once, and count it as dropped; lock held."""
         if client not in self._clients:
             return
         self._clients.remove(client)
         self.report.clients_dropped += 1
-        _shut(client.sock)
         log.info("client %s dropped: %s", client.peer, reason)
 
     # -- broadcasting ------------------------------------------------------
@@ -276,73 +282,63 @@ class StreamServer:
         if frame is None:
             return False
         msg = self._session.push(frame)
-        self._broadcast(frame_message(msg), _Bootstrap(msg.frame_no, self._session.reference))
+        self._broadcast(frame_message(msg), (msg.frame_no, self._session.reference))
         self.report.frames_encoded += 1
         return True
 
-    def _broadcast(self, blob: bytes, bootstrap: Optional[_Bootstrap]) -> None:
+    def _broadcast(self, blob: bytes, ref: Optional[tuple[int, Frame]]) -> None:
         """Give `blob` to every client: one delivery rule for frames and END.
 
-        In one lock hold, each client with room gets the blob and `bootstrap`
-        (None once END is out) is published with it, never before: a client
-        admitted between push() and here must still get this frame as a DELTA.
-        A full outbox may only mean that its writer has not run yet, so the
-        full clients share one _WRITER_GRACE, waited out with no lock held;
-        those still full after it are cut as slow consumers.
+        In one lock hold, `blob` is queued for every client (held behind a
+        joiner's keyframe while that compresses) and `ref` (None once END is
+        out) is published with it, never before: a client admitted between
+        push() and here must still get this frame as a DELTA.  A client then
+        holding more than OUTBOX_SIZE blobs is cut as a slow consumer if none
+        of its bytes move from this hold to the end of the loop's first pass
+        begun after it.  That pass, waited for with no lock held, tries every
+        client afresh, so a loop that has not run yet cuts no one.
         """
-        full = []
         with self._lock:
             for client in self._clients:
-                try:
-                    client.outbox.put_nowait(blob)
-                except queue.Full:
-                    full.append(client)
-            self._bootstrap = bootstrap
-        deadline = time.monotonic() + _WRITER_GRACE
-        for client in full:
-            try:
-                client.outbox.put(blob, timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Full:
-                with self._lock:
-                    self._drop(client, "slow consumer")
+                (client.outbox if client.held is None else client.held).append(blob)
+            full = [(c, c.moved) for c in self._clients if len(c.outbox) > OUTBOX_SIZE]
+            self._ref = ref
+            fresh = self._passes + 1
+        self._wake()
+        if full:
+            with self._passed:
+                self._passed.wait_for(lambda: self._passes_done >= fresh or self._stopping)
+                for client, moved in full:
+                    if client.moved == moved:
+                        self._drop(client, "slow consumer")
 
     def finish(self) -> ServeReport:
-        """Broadcast END, stop accepting, and wait for writers to send it."""
+        """Broadcast END, wait until the loop has sent it, and drop whom it could not reach."""
         self._broadcast(frame_message(End()), None)
-        self._stop_accepting()
-        with self._lock:
-            clients = list(self._clients)
-        deadline = time.monotonic() + _JOIN_TIMEOUT
-        for client in clients:
-            client.writer.join(max(0.0, deadline - time.monotonic()))
-            if client.writer.is_alive():
-                _shut(client.sock)  # force a stuck sendall to fail
-                client.writer.join(1.0)
+
+        def owed() -> list[_Client]:
+            return [c for c in self._clients if c.outbox or c.held is not None]
+
+        with self._passed:
+            self._passed.wait_for(lambda: not owed(), _JOIN_TIMEOUT)
+            for client in owed():
+                self._drop(client, "END not sent in time")
         return self.report
 
-    def _stop_accepting(self) -> None:
-        """Wake the acceptor out of accept() and wait for it to end."""
-        if self._listener is not None:
-            _shut(self._listener)  # closing alone does not wake accept() on Linux
-            self._acceptor.join()
-
     def close(self) -> None:
-        """Stop accepting and cut every client without counting it dropped."""
-        self._stop_accepting()
+        """Stop the loop, which closes every socket; listed clients are not counted dropped."""
         with self._lock:
-            clients, self._clients = self._clients, []
-        for client in clients:
-            _shut(client.sock)  # fails a writer's send
-            with contextlib.suppress(queue.Full):  # a full outbox's writer is not in get()
-                client.outbox.put_nowait(None)  # wakes a writer waiting in get()
+            self._clients.clear()
+            self._stopping = True
+        self._wake()
+        if self._loop is not None:
+            self._loop.join()
 
     def stream(self) -> ServeReport:
         """Paced broadcast loop: one frame per 1/fps tick until exhaustion."""
         tick = float(1 / self._fps) if self._fps > 0 else 0.0
         next_deadline = time.monotonic()
-        while True:
-            if not self.send_next_frame():
-                break
+        while self.send_next_frame():
             next_deadline += tick
             delay = next_deadline - time.monotonic()
             if delay > 0:

@@ -26,13 +26,14 @@ written as stored blocks (RFC 1951 section 3.2.4), which cost 5 bytes per
 choice reads only the input bytes, so the same input still gives the same
 stream, and every inflater reads stored blocks, so readers need no change.
 
-A buffer deflated at COMPRESSION_LEVEL that is longer than 512 KiB (a
-1920x1620 keyframe, say) is cut into ceil(n / 512 KiB) near-equal parts,
-which worker threads deflate in parallel at a lower CPU priority, as pigz
-does.  Each part is raw DEFLATE primed with the 32 KiB of input before it;
-every part but the last ends in a sync flush, so the parts join into one
-ordinary zlib stream (header 78 9C, the parts, the adler32 of the whole
-buffer).  Part bounds depend only on the length, so the same input still
+Every buffer deflated at COMPRESSION_LEVEL takes one path: it is cut into
+max(1, ceil(n / 512 KiB)) near-equal parts.  Each part is raw DEFLATE
+primed with the 32 KiB of input before it; every part but the last ends in
+a sync flush, so the parts join into one ordinary zlib stream (header
+78 9C, the parts, the adler32 of the whole buffer).  One part is deflated
+inline and gives zlib.compress's own bytes; more (a 1920x1620 keyframe,
+say) are deflated in parallel by worker threads at a lower CPU priority, as
+pigz does.  Part bounds depend only on the length, so the same input still
 gives the same bytes whatever the thread count or timing.
 
 The `.sfix` container is magic "SFIX", a version byte, then one session's
@@ -191,15 +192,12 @@ def deserialize_index(data: bytes) -> np.ndarray:
 def compress(data: bytes) -> bytes:
     """A zlib stream of `data`: stored blocks if a sample barely deflates, else level 6.
 
-    Level 6 past 512 KiB is deflated in parts on low-priority worker
-    threads, and joined into one zlib stream whose bytes depend only on
-    `data`.
+    Level 6 is deflated in parts of at most 512 KiB, joined into one zlib
+    stream whose bytes depend only on `data`.
     """
     if len(data) > _PROBE_ABOVE and _barely_deflates(data):
         return _stored(data)
-    if len(data) > _PART:
-        return _deflate_parted(data)
-    return zlib.compress(data, COMPRESSION_LEVEL)
+    return _deflate_parted(data)
 
 
 def _barely_deflates(data: bytes) -> bool:
@@ -225,20 +223,24 @@ def _stored(data: bytes) -> bytes:
 
 
 def _deflate_parted(data: bytes) -> bytes:
-    """`data` as one level-6 zlib stream, deflated in parts by worker threads.
+    """`data` as one level-6 zlib stream, deflated in parts: inline if one.
 
-    The caller only waits: it keeps its own priority and deflates nothing,
-    so the threads it might delay (a broadcast, say) are not held back.
+    Worker threads deflate more than one while the caller only waits: it
+    keeps its own priority and deflates nothing, so the threads it might
+    delay (a broadcast, say) are not held back.
     """
     view = memoryview(data)
     n = len(view)
-    count = -(-n // _PART)
+    count = max(1, -(-n // _PART))
     bounds = [n * i // count for i in range(count + 1)]
-    with ThreadPoolExecutor(min(_cpus(), count), initializer=_lower_priority) as pool:
-        parts = list(pool.map(
-            lambda i: _deflate_part(view, bounds[i], bounds[i + 1], i == count - 1),
-            range(count),
-        ))
+    if count == 1:
+        parts = [_deflate_part(view, 0, n, True)]
+    else:
+        with ThreadPoolExecutor(min(_cpus(), count), initializer=_lower_priority) as pool:
+            parts = list(pool.map(
+                lambda i: _deflate_part(view, bounds[i], bounds[i + 1], i == count - 1),
+                range(count),
+            ))
     return b"".join((_ZLIB_HEADER, *parts, zlib.adler32(view).to_bytes(4, "big")))
 
 

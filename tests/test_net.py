@@ -6,7 +6,6 @@ joins happen at exact frame boundaries; pacing is covered separately.
 
 import io
 import itertools
-import queue
 import socket
 import struct
 import sys
@@ -24,6 +23,7 @@ from sfix.bench import read_metrics_csv
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
 from sfix.encode import encode_delta
 from sfix.ingest import SourceError, SynthParams, VideoSource, gen_low_motion
+from sfix.session import SessionEncoder
 
 
 def make_source(frames, fps=Fraction(25, 1)):
@@ -170,6 +170,28 @@ class TestLoopbackStreaming:
         assert framed[-1] == wc.End()
         assert report.frames_encoded == 12
 
+    @pytest.mark.parametrize("mode", list(EncoderMode))
+    def test_client_from_frame_0_gets_the_container_bytes(self, mode):
+        # a stream is a container's message stream: HELLO through END, byte for byte
+        frames = synth_frames(30, seed=51, width=96, height=64)
+        config = EncoderConfig(mode)
+        server = net.StreamServer(make_source(frames), config).start()
+        peer = socket.create_connection(server.address, timeout=10.0)
+        try:
+            assert server.wait_for_clients(1)
+            while server.send_next_frame():
+                pass
+            server.finish()
+            with peer.makefile("rb") as stream:
+                streamed = stream.read()
+        finally:
+            peer.close()
+            server.close()
+        session = SessionEncoder(frames[0].geometry, Fraction(25, 1), config)
+        container = io.BytesIO()
+        wc.write_container(container, [session.hello, *map(session.push, frames), wc.End()])
+        assert streamed == container.getvalue()[len(wc.SFIX_MAGIC) + 1:]
+
     def test_identical_frames_stream_as_equal_deltas(self):
         geometry = FrameGeometry(8, 8, 1)
         frames = [Frame(geometry, bytes(64))] * 5
@@ -269,7 +291,7 @@ def eventually(predicate, timeout=5.0):
 
 
 class TestJoinPath:
-    """The joiner's keyframe is compressed by its own writer, with no lock held."""
+    """The joiner's keyframe is compressed on its own thread, with no lock held."""
 
     def test_broadcast_runs_while_a_joiner_compresses(self, monkeypatch):
         frames = synth_frames(20, seed=13)
@@ -330,7 +352,7 @@ class TestJoinPath:
             assert numbers == [4, 5, 6, 7, 8, 9]
             assert wc.parse_message(stream) == wc.End()
 
-    def test_overflowing_outbox_drops_only_the_joiner(self, monkeypatch):
+    def test_joiner_is_not_judged_while_its_keyframe_compresses(self, monkeypatch):
         monkeypatch.setattr(net, "OUTBOX_SIZE", 4)
         frames = synth_frames(12, seed=19)
         server = net.StreamServer(make_source(frames)).start()
@@ -342,10 +364,11 @@ class TestJoinPath:
             gate = CompressionGate(monkeypatch)
             late = Receiver(server.address)
             assert gate.entered.wait(5.0)
-            # four deltas fill the joiner's 4-slot outbox while its keyframe
-            # compresses; the fifth finds its writer busy past the grace
-            assert completes(send_frames(server, 5))
-            assert server.client_count == 1
+            # five deltas, past the 4-blob bound, are held behind the joiner's
+            # keyframe while it compresses: the broadcast neither waits on the
+            # joiner nor cuts it
+            assert completes(send_frames(server, 5), timeout=2.0)
+            assert server.client_count == 2
             gate.open()
             while server.send_next_frame():
                 pass
@@ -354,12 +377,14 @@ class TestJoinPath:
             if gate is not None:
                 gate.open()
             server.close()
-        with pytest.raises(wc.TruncatedMessage):  # HELLO, then the socket closed
-            late.join()
+        late_report = late.join()
+        assert late_report.first_frame_no == 2  # REF_FRAME(2), then DELTAs 3..11 once each
+        assert late.samples == [f.samples for f in frames[2:]]
         assert early.join().frames_received == 12
         assert early.samples == [f.samples for f in frames]
+        assert report.snapshot_calls == 1
         assert report.clients_total == 2
-        assert report.clients_dropped == 1
+        assert report.clients_dropped == 0
 
     def test_finish_delivers_end_to_a_join_in_flight(self, monkeypatch):
         failures = []
@@ -386,6 +411,32 @@ class TestJoinPath:
         assert late.samples == [frames[2].samples]
         assert server.report.clients_dropped == 0
         assert failures == []
+
+    def test_joiners_leave_no_thread_once_their_keyframes_are_queued(self):
+        frames = synth_frames(8, seed=53)
+        server = net.StreamServer(make_source(frames)).start()
+        joiners = []
+        try:
+            assert completes(send_frames(server, 3))  # frames 0..2
+            before = set(threading.enumerate())
+            joiners = [socket.create_connection(server.address, timeout=10.0) for _ in range(8)]
+            assert server.wait_for_clients(8)
+            for joiner in joiners:
+                with joiner.makefile("rb") as stream:
+                    assert isinstance(wc.parse_message(stream), wc.Hello)
+                    assert wc.parse_message(stream).frame_no == 2  # the REF_FRAME
+            # no thread per client: each keyframe's thread has ended
+            assert eventually(lambda: set(threading.enumerate()) <= before)
+            assert threading.active_count() <= len(before)
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            for joiner in joiners:
+                joiner.close()
+            server.close()
+        assert report.snapshot_calls == 8
+        assert report.clients_dropped == 0
 
     def test_join_during_an_unpaced_burst(self):
         frames = synth_frames(120, seed=29)
@@ -463,7 +514,7 @@ class TestDeparture:
         assert report.clients_total == 2
         assert report.clients_dropped == 1
 
-    def test_cut_client_whose_send_then_fails_is_counted_once(self, monkeypatch):
+    def test_cut_client_is_counted_once(self, monkeypatch):
         monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
         reasons = []
         drop = net.StreamServer._drop
@@ -482,14 +533,11 @@ class TestDeparture:
             while server.client_count and server.send_next_frame():
                 pass
             assert server.client_count == 0
-            # closing its socket fails the writer's blocked send
-            assert eventually(lambda: len(reasons) == 2)
             report = server.finish()
         finally:
             stalled.close()
-            server.close()
-        assert reasons[0] == "slow consumer"
-        assert reasons[1].startswith("send failed")
+            server.close()  # the loop has closed the cut client's socket once this returns
+        assert reasons == ["slow consumer"]
         assert report.clients_dropped == 1
 
 
@@ -519,17 +567,18 @@ class TestBackPressure:
             server.close()
 
     def test_healthy_writer_delayed_once_is_not_cut(self, monkeypatch):
-        # a writer that loses 20 ms once, as it may waiting for the
-        # interpreter lock, while an unpaced burst fills its outbox
+        # the loop loses 20 ms once in a send, as it may waiting for the
+        # interpreter lock, while an unpaced burst fills the client's queue
         calls = itertools.count(1)
-        sendall = socket.socket.sendall
+        send = socket.socket.send
 
         def delayed(sock, data, *args):
-            if next(calls) == 5:
+            # the broadcast's wake-ups run on the main thread; the loop's sends do not
+            if threading.current_thread() is not threading.main_thread() and next(calls) == 5:
                 time.sleep(0.02)
-            return sendall(sock, data, *args)
+            return send(sock, data, *args)
 
-        monkeypatch.setattr(socket.socket, "sendall", delayed)
+        monkeypatch.setattr(socket.socket, "send", delayed)
         frames = synth_frames(120, seed=37)
         server = net.StreamServer(make_source(frames)).start()
         try:
@@ -544,21 +593,23 @@ class TestBackPressure:
         assert healthy.samples == [f.samples for f in frames]
         assert report.clients_dropped == 0
 
-    def test_grace_is_waited_out_with_no_lock_held(self, monkeypatch):
+    def test_wait_for_the_loop_holds_no_lock(self, monkeypatch):
         monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
-        waiting, release = threading.Event(), threading.Event()
-        put = queue.Queue.put
-
-        def held_put(outbox, item, block=True, timeout=None):
-            if timeout is not None and outbox.full():
-                waiting.set()  # the broadcast is in its grace for a full outbox
-                release.wait(10.0)
-            return put(outbox, item, block, timeout)
-
-        monkeypatch.setattr(queue.Queue, "put", held_put)
         # 48 KiB of noise per frame fills the socket of a client that never reads
         frames = noise_frames(120, FrameGeometry(128, 128, 3))
         server = net.StreamServer(make_source(frames)).start()
+        held, release = threading.Event(), threading.Event()
+        send = socket.socket.send
+
+        def held_send(sock, data, *args):
+            # hold the loop in a send to a client past the bound: a broadcast
+            # has found that client full and waits for the loop's next pass
+            if any(c.sock is sock and len(c.outbox) > net.OUTBOX_SIZE for c in server._clients):
+                held.set()
+                release.wait(10.0)
+            return send(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "send", held_send)
         stalled = socket.create_connection(server.address)
         try:
             assert server.wait_for_clients(1)
@@ -569,8 +620,10 @@ class TestBackPressure:
 
             broadcast = threading.Thread(target=broadcast_until_cut, daemon=True)
             broadcast.start()
-            assert waiting.wait(10.0)
+            assert held.wait(10.0)
             assert completes(lambda: server.client_count, timeout=1.0)
+            assert server.client_count == 1  # not judged before the loop's pass
+            assert broadcast.is_alive()
             release.set()
             broadcast.join(10.0)
             assert not broadcast.is_alive()
@@ -594,18 +647,28 @@ class TestThreadsEnd:
     """Every server thread ends once the server is closed."""
 
     def test_acceptor_ends_after_finish_and_close(self):
+        # the loop is the acceptor; a joiner's keyframe thread ends too
         frames = synth_frames(5, seed=41)
+        started_before = set(threading.enumerate())
         server = net.StreamServer(make_source(frames)).start()
         try:
             client = Receiver(server.address)
             assert server.wait_for_clients(1)
+            assert server.send_next_frame()
+            late = Receiver(server.address)
+            assert server.wait_for_clients(2)
             while server.send_next_frame():
                 pass
             server.finish()
         finally:
             server.close()
         assert client.join().frames_received == 5
-        assert not server._acceptor.is_alive()
+        assert late.join().first_frame_no == 0
+        assert server.report.snapshot_calls == 1
+        assert not threads_running(net.StreamServer._serve_loop, started_before)
+        assert eventually(
+            lambda: not threads_running(net.StreamServer._keyframe, started_before), timeout=1.0
+        )
 
     def test_close_after_a_source_error_ends_every_writer(self):
         frames = synth_frames(8, seed=43)
@@ -625,9 +688,7 @@ class TestThreadsEnd:
         finally:
             server.close()
             peer.close()
-        assert eventually(
-            lambda: not threads_running(net.StreamServer._write_loop, started_before), timeout=1.0
-        )
+        assert not threads_running(net.StreamServer._serve_loop, started_before)
 
 
 def scripted_server(blobs):

@@ -173,7 +173,7 @@ class TestCompressionPolicy:
 
 
 class TestPartedDeflate:
-    """Past 512 KiB, compress() deflates primed parts on worker threads."""
+    """compress() deflates primed parts: one inline, more on worker threads past 512 KiB."""
 
     @pytest.mark.parametrize("n", [(512 << 10) + 1, 1 << 20, 1920 * 1620])
     def test_parts_join_into_one_pinned_zlib_stream(self, n):
@@ -186,6 +186,16 @@ class TestPartedDeflate:
 
     def test_512_kib_is_one_part(self):
         data = compressible(512 << 10)
+        assert wc.compress(data) == zlib.compress(data, 6)
+
+    @pytest.mark.parametrize("n", [0, 1, 4 << 10, (4 << 10) + 1, 64 << 10, 512 << 10])
+    def test_one_part_is_zlib_compress_on_the_callers_thread(self, monkeypatch, n):
+        # the one deflate path: a single part, deflated inline, is zlib.compress's stream
+        def no_thread(thread):
+            raise AssertionError("compress() started a thread for one part")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        data = compressible(n)
         assert wc.compress(data) == zlib.compress(data, 6)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="per-thread nice is Linux's")
