@@ -82,7 +82,7 @@ def measure_pair(
     delta, encode_seconds = _timed_median(lambda: encode_delta(ref, new, cfg))
     message = delta_to_message(frame_no, delta)
     rebuilt, build_seconds = _timed_median(lambda: decode_delta(ref, delta))
-    if rebuilt.samples != new.samples:
+    if rebuilt != new:
         raise CodecError(f"round trip mismatch on frame {frame_no}")
     return frame_metrics(
         message, ref.geometry.total_samples, cfg.mode.value, encode_seconds, build_seconds

@@ -109,20 +109,68 @@ class FrameGeometry:
         return self.width * self.height * self.channels
 
 
-@dataclass(frozen=True)
+# A frame's samples: bytes, or a read-only view of memory no one can write.
+Samples = Union[bytes, memoryview]
+
+
+def _frozen_samples(samples: object) -> Samples:
+    """`samples` as a Frame keeps them: without a copy if nothing can change them.
+
+    bytes are kept as they are, and so is a read-only uint8 array that owns
+    its memory (the decoder's output), or a flat byte view of one, as a
+    memoryview.  Anything else, a writable buffer above all, is copied to
+    bytes, so a later write to the source never changes the frame.
+    """
+    if isinstance(samples, bytes):
+        return samples
+    owner = samples.obj if isinstance(samples, memoryview) else samples
+    if (isinstance(owner, np.ndarray) and owner.dtype == np.uint8
+            and owner.flags.owndata and not owner.flags.writeable):
+        view = memoryview(samples)
+        if view.format == "B" and view.ndim == 1 and view.c_contiguous:
+            return view
+    return bytes(samples)
+
+
+def samples_equal(a: Samples, b: Samples) -> bool:
+    """Whether two sample buffers hold the same bytes.
+
+    memoryview's own == compares sample by sample, over 10x slower than this
+    for a 3 MB frame; bytes against bytes is one memcmp.
+    """
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        return a == b
+    return np.array_equal(np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8))
+
+
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """One frame: a flat row-major, channel-interleaved stream of 8-bit samples."""
+    """One frame: a flat row-major, channel-interleaved stream of 8-bit samples.
+
+    `samples` is bytes, or the decoder's output as a read-only memoryview,
+    handed over without a copy (see _frozen_samples).  Either way it is
+    read-only, and a frame equals and hashes like the same frame built
+    from bytes.
+    """
 
     geometry: FrameGeometry
-    samples: bytes
+    samples: Samples
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples, bytes):
-            object.__setattr__(self, "samples", bytes(self.samples))
+        object.__setattr__(self, "samples", _frozen_samples(self.samples))
         if len(self.samples) != self.geometry.total_samples:
             raise ValueError(
                 f"expected {self.geometry.total_samples} samples, got {len(self.samples)}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.geometry == other.geometry and samples_equal(self.samples, other.samples)
+
+    def __hash__(self) -> int:
+        # hash(memoryview) would hash the array it views, which is unhashable.
+        return hash((self.geometry, bytes(self.samples)))
 
 
 @dataclass(frozen=True)

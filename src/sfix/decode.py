@@ -5,12 +5,17 @@ counts tile the frame and consume the difference buffer exactly, so the
 replay is a few whole-array steps instead of a cursor walk:
 
 * the output starts as a copy of the reference, which already holds every
-  COPY_FROM_REF run (positional, never searched);
+  COPY_FROM_REF run (positional, never searched); it is the one copy a
+  decoded frame costs;
 * the difference buffer is scattered as is: a COPY_FROM_DIFF entry's
   samples over its run, a REPEAT_FROM_DIFF entry's single sample onto the
   first position of its run;
 * each repeat's first sample is then copied over the rest of its run, so
   only REPEAT_FROM_DIFF entries are expanded.
+
+The output array is then made read-only and becomes the Frame's samples
+as it is, with no copy out to bytes.  An EQUAL_FRAMES delta shares the
+reference's samples.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from .core import (
     CODE_REPEAT_FROM_DIFF,
     Frame,
     FrameDelta,
+    Samples,
     concat_ranges,
     validate_delta,
 )
 
 
-def _replay(ref_samples: bytes, records: np.ndarray, diff: bytes) -> np.ndarray:
+def _replay(ref_samples: Samples, records: np.ndarray, diff: bytes) -> np.ndarray:
     """Samples a validated, non-EQUAL_FRAMES index produces, as a uint8 array."""
     code = records["code"]
     count = records["count"].astype(np.int64)
@@ -55,7 +61,9 @@ def decode_delta(ref: Frame, delta: FrameDelta) -> Frame:
     validate_delta(delta, ref.geometry)
     if delta.records["code"][0] == CODE_EQUAL_FRAMES:
         return Frame(ref.geometry, ref.samples)
-    return Frame(ref.geometry, _replay(ref.samples, delta.records, delta.diff).tobytes())
+    out = _replay(ref.samples, delta.records, delta.diff)
+    out.flags.writeable = False
+    return Frame(ref.geometry, out)
 
 
 def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
@@ -71,6 +79,6 @@ def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
     if n_entries == 0:
         return b""
     if records["code"][0] == CODE_EQUAL_FRAMES:
-        return ref.samples
+        return bytes(ref.samples)
     produced = int(records["count"][:n_entries].sum(dtype=np.uint64))
     return _replay(ref.samples, records, delta.diff)[:produced].tobytes()

@@ -43,7 +43,9 @@ from .core import (
     FrameDelta,
     GeometryMismatch,
     EQUAL_FRAMES_DELTA,
+    Samples,
     concat_ranges,
+    samples_equal,
 )
 
 # Samples are compared eight at a time.  A little-endian word holds sample
@@ -67,7 +69,7 @@ def _require_same_geometry(ref: Frame, new: Frame) -> None:
         raise GeometryMismatch(f"{ref.geometry} != {new.geometry}")
 
 
-def _changed_words(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _changed_words(ref: Samples, new: Samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the 8-sample words that differ, with their old and new contents.
 
     The last len % 8 samples, if any, are one more word, zero-padded in both
@@ -81,13 +83,13 @@ def _changed_words(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.n
     tail = len(new) - 8 * whole
     if tail and ref[-tail:] != new[-tail:]:
         words = np.append(words, whole)
-        old = np.append(old, np.frombuffer(ref[-tail:].ljust(8, b"\0"), _WORD))
-        cur = np.append(cur, np.frombuffer(new[-tail:].ljust(8, b"\0"), _WORD))
+        old = np.append(old, np.frombuffer(bytes(ref[-tail:]).ljust(8, b"\0"), _WORD))
+        cur = np.append(cur, np.frombuffer(bytes(new[-tail:]).ljust(8, b"\0"), _WORD))
     return words, old, cur
 
 
 # perfbench/spans.py times this pass by this name.
-def segment_runs(ref: bytes, new: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def segment_runs(ref: Samples, new: Samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The differing stretches: their [start, end) sample positions and new samples.
 
     The third array holds the new samples of every stretch, concatenated in
@@ -143,7 +145,7 @@ def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -
     Identical frames collapse to the single EQUAL_FRAMES entry.
     """
     _require_same_geometry(ref, new)
-    if ref.samples == new.samples:
+    if samples_equal(ref.samples, new.samples):
         return EQUAL_FRAMES_DELTA
 
     start, end, vals = segment_runs(ref.samples, new.samples)

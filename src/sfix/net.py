@@ -28,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 from .bench import FrameMetrics, frame_metrics, write_metrics_csv
 from .core import CodecError, EncoderConfig, Frame, FrameGeometry
@@ -40,6 +40,7 @@ from .wirecodec import (
     End,
     Hello,
     RefFrame,
+    StreamMessage,
     WireFormatError,
     frame_message,
     parse_message,
@@ -69,6 +70,10 @@ class ConnectFailure(NetError):
 
 class DecodeFailure(NetError):
     """A received payload could not be decompressed or reconstructed."""
+
+
+class ReceiveFailure(NetError):
+    """Reading from the server's socket failed: reset, timed out or closed under us."""
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
@@ -361,6 +366,14 @@ def serve(
         server.close()
 
 
+def _read_message(stream: BinaryIO, limits: dict[int, int]) -> StreamMessage:
+    """The next message off the socket's stream; an OSError becomes ReceiveFailure."""
+    try:
+        return parse_message(stream, limits)
+    except OSError as exc:
+        raise ReceiveFailure(f"connection failed: {exc or type(exc).__name__}") from exc
+
+
 def receive(
     connect_address: str | tuple[str, int],
     sink: Optional[Callable[[Frame], None]] = None,
@@ -372,8 +385,10 @@ def receive(
 
     The session must follow SessionDecoder's rules: HELLO, a REF_FRAME,
     then gap-free DELTAs until END.  A payload that does not decode raises
-    DecodeFailure, with the wire or codec error as its cause.  Per-frame
-    reconstruction metrics are written as CSV when metrics_path is given.
+    DecodeFailure, with the wire or codec error as its cause; a socket read
+    that fails raises ReceiveFailure, with the OSError as its cause.  What
+    `sink` raises propagates as it is.  Per-frame reconstruction metrics
+    are written as CSV when metrics_path is given.
     """
     host, port = parse_address(connect_address)
     try:
@@ -386,7 +401,7 @@ def receive(
     session = SessionDecoder()
     with sock, sock.makefile("rb") as stream:
         sock.settimeout(timeout)
-        hello = parse_message(stream, session.limits)
+        hello = _read_message(stream, session.limits)
         session.accept(hello)
         report.geometry = hello.geometry
         report.fps = hello.fps
@@ -396,7 +411,7 @@ def receive(
             on_hello(hello)
 
         while True:
-            msg = parse_message(stream, session.limits)
+            msg = _read_message(stream, session.limits)
             started = time.perf_counter()
             try:
                 frame = session.accept(msg)

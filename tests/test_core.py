@@ -23,6 +23,11 @@ from sfix.core import (
 GEOM = FrameGeometry(4, 3, 1)  # 12 samples
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def entries(*pairs):
     return tuple(IndexEntry(IndexCode(code), count) for code, count in pairs)
 
@@ -67,6 +72,36 @@ class TestFrame:
     def test_accepts_bytearray_and_freezes_to_bytes(self):
         frame = Frame(GEOM, bytearray(12))
         assert isinstance(frame.samples, bytes)
+
+    @pytest.mark.parametrize("view", [
+        lambda backing: backing,
+        memoryview,
+        lambda backing: np.frombuffer(backing, np.uint8),
+        lambda backing: memoryview(backing).toreadonly(),
+        lambda backing: read_only(np.frombuffer(backing, np.uint8)),
+    ], ids=["bytearray", "memoryview", "ndarray", "read-only-memoryview", "read-only-ndarray"])
+    def test_buffers_over_writable_memory_are_copied(self, view):
+        backing = bytearray(range(12))
+        frame = Frame(GEOM, view(backing))
+        backing[:] = bytes(12)
+        assert isinstance(frame.samples, bytes)
+        assert frame.samples == bytes(range(12))
+
+    def test_read_only_array_is_taken_without_a_copy(self):
+        array = read_only(np.arange(12, dtype=np.uint8))
+        frame = Frame(GEOM, array)
+        assert isinstance(frame.samples, memoryview) and frame.samples.readonly
+        assert np.shares_memory(np.frombuffer(frame.samples, np.uint8), array)
+        again = Frame(GEOM, frame.samples)  # a view of it is kept as well
+        assert np.shares_memory(np.frombuffer(again.samples, np.uint8), array)
+
+    def test_read_only_samples_equal_and_hash_like_bytes(self):
+        array = read_only(np.arange(12, dtype=np.uint8))
+        frame, twin = Frame(GEOM, array), Frame(GEOM, array.tobytes())
+        assert frame == twin and twin == frame and hash(frame) == hash(twin)
+        assert {frame, twin} == {twin} and frame in {twin}
+        assert frame != Frame(GEOM, bytes(12))
+        assert frame != Frame(FrameGeometry(3, 4, 1), array.tobytes())
 
 
 class TestIndexEntry:

@@ -5,6 +5,9 @@ production decoder must agree with it on every fuzzed delta, and the
 encode->decode round trip must be the identity.
 """
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from conftest import (
     fuzz_pair,
     rows_to_frame,
 )
+from sfix import ingest
+from sfix.bench import measure_pair
 from sfix.core import (
     EQUAL_FRAMES_DELTA,
     CountMismatch,
@@ -33,6 +38,7 @@ from sfix.core import (
 )
 from sfix.decode import decode_delta, decode_prefix
 from sfix.encode import encode_delta
+from sfix.wirecodec import samples_to_message
 
 
 def delta_from_pairs(pairs, diff):
@@ -166,3 +172,75 @@ def test_multi_frame_chain_round_trip():
         rebuilt = decode_delta(client_ref, delta)
         assert rebuilt.samples == new.samples
         server_ref, client_ref = new, rebuilt
+
+
+# -- the decoded frame: the replay's output, read-only -------------------------
+
+
+def decoded_pair(n, seed=0):
+    """A frame decoded from a delta, and the same frame built from bytes."""
+    rng = np.random.default_rng(seed)
+    geometry = FrameGeometry(n, 1, 1)
+    ref = Frame(geometry, rng.integers(0, 256, n, dtype=np.uint8).tobytes())
+    new = Frame(geometry, rng.integers(0, 256, n, dtype=np.uint8).tobytes())
+    return decode_delta(ref, encode_delta(ref, new)), new
+
+
+class TestDecodedFrame:
+    def test_equals_and_hashes_like_its_bytes_twin(self):
+        decoded, twin = decoded_pair(70)
+        assert decoded == twin and hash(decoded) == hash(twin)
+        assert decoded in {twin} and twin in {decoded} and len({decoded, twin}) == 1
+
+    def test_samples_are_read_only(self):
+        decoded, _ = decoded_pair(70)
+        assert not np.frombuffer(decoded.samples, np.uint8).flags.writeable
+        with pytest.raises(TypeError):
+            decoded.samples[0] = 1
+
+    def test_equal_frames_shares_the_reference_samples(self):
+        decoded, _ = decoded_pair(70)
+        out = decode_delta(decoded, EQUAL_FRAMES_DELTA)
+        assert out == decoded and out is not decoded
+        assert np.shares_memory(np.frombuffer(out.samples, np.uint8),
+                                np.frombuffer(decoded.samples, np.uint8))
+
+    def test_decode_prefix_returns_bytes(self):
+        decoded, twin = decoded_pair(70)
+        delta = encode_delta(twin, Frame(twin.geometry, bytes(70)))
+        for d in (EQUAL_FRAMES_DELTA, delta):
+            prefix = decode_prefix(decoded, d, len(d.records))
+            assert type(prefix) is bytes and prefix == decode_delta(twin, d).samples
+
+    @pytest.mark.parametrize("n", [7, 9, 17])
+    @pytest.mark.parametrize("mode,oracle_run", [
+        (EncoderMode.SPATIO_TEMPORAL, 3), (EncoderMode.STANDARD_BASELINE, None),
+    ])
+    def test_encoding_against_a_decoded_reference_matches_the_oracle(self, n, mode, oracle_run):
+        decoded, twin = decoded_pair(n, seed=n)
+        rng = np.random.default_rng(n + 1)
+        for _ in range(20):
+            new = bytearray(twin.samples)
+            for at in rng.choice(n, int(rng.integers(1, n + 1)), replace=False):
+                new[at] = int(rng.integers(0, 4))  # small values, so repeats occur
+            new[-1] ^= 1  # the tail past the last whole word always differs
+            delta = encode_delta(decoded, Frame(twin.geometry, new), EncoderConfig(mode))
+            want_index, want_diff = oracle.oracle_encode(twin.samples, bytes(new), oracle_run)
+            assert [(e.code, e.count) for e in delta.index] == want_index
+            assert delta.diff == want_diff
+        assert encode_delta(decoded, twin) is EQUAL_FRAMES_DELTA
+
+    def test_writers_and_hashlib_see_the_bytes_twin(self):
+        decoded, twin = decoded_pair(70)
+        for write in (
+            lambda out, frame: ingest.write_y4m(out, frame.geometry, [frame]),
+            lambda out, frame: ingest.write_raw(out, [frame]),
+        ):
+            got, want = io.BytesIO(), io.BytesIO()
+            write(got, decoded)
+            write(want, twin)
+            assert got.getvalue() == want.getvalue()
+        assert hashlib.sha256(decoded.samples).digest() == hashlib.sha256(twin.samples).digest()
+        message = samples_to_message(0, decoded.samples)
+        assert message == samples_to_message(0, twin.samples)
+        assert measure_pair(decoded, twin).diff_samples == 0

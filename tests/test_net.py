@@ -789,6 +789,28 @@ class TestProtocolPolicing:
             net.receive(address, timeout=5.0)
 
 
+def hello_then(finish):
+    """One-shot server: sends HELLO, then runs finish(conn), then closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        conn, _ = listener.accept()
+        try:
+            conn.sendall(HELLO)
+            finish(conn)
+        finally:
+            conn.close()
+            listener.close()
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()
+
+
+def reset(conn):
+    time.sleep(0.2)  # the client reads HELLO first
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+
+
 class TestConnectionErrors:
     def test_rate_past_the_hello_fields_rejected(self):
         with pytest.raises(ValueError, match="u16"):
@@ -811,3 +833,25 @@ class TestConnectionErrors:
         probe.close()
         with pytest.raises(net.ConnectFailure):
             net.receive(address, timeout=2.0)
+
+    def test_reset_after_hello_is_receive_failure(self):
+        with pytest.raises(net.ReceiveFailure) as failure:
+            net.receive(hello_then(reset), timeout=5.0)
+        assert isinstance(failure.value.__cause__, ConnectionResetError)
+
+    def test_stall_past_the_timeout_is_receive_failure(self):
+        release = threading.Event()
+        try:
+            with pytest.raises(net.ReceiveFailure) as failure:
+                net.receive(hello_then(lambda conn: release.wait(10.0)), timeout=0.5)
+        finally:
+            release.set()
+        assert isinstance(failure.value.__cause__, TimeoutError)
+
+    def test_what_the_sink_raises_is_not_wrapped(self):
+        def sink(frame):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full") as failure:
+            net.receive(scripted_server([HELLO, REF0]), sink=sink, timeout=5.0)
+        assert not isinstance(failure.value, net.NetError)
