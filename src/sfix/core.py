@@ -124,8 +124,7 @@ def _frozen_samples(samples: object) -> Samples:
     if isinstance(samples, bytes):
         return samples
     owner = samples.obj if isinstance(samples, memoryview) else samples
-    if (isinstance(owner, np.ndarray) and owner.dtype == np.uint8
-            and owner.flags.owndata and not owner.flags.writeable):
+    if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
         view = memoryview(samples)
         if view.format == "B" and view.ndim == 1 and view.c_contiguous:
             return view
@@ -143,7 +142,7 @@ def samples_equal(a: Samples, b: Samples) -> bool:
     return np.array_equal(np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Frame:
     """One frame: a flat row-major, channel-interleaved stream of 8-bit samples.
 

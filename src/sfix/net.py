@@ -73,7 +73,7 @@ class DecodeFailure(NetError):
 
 
 class ReceiveFailure(NetError):
-    """Reading from the server's socket failed: reset, timed out or closed under us."""
+    """A read from the server's socket failed, as when it reset the connection or stalled."""
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
@@ -371,7 +371,7 @@ def _read_message(stream: BinaryIO, limits: dict[int, int]) -> StreamMessage:
     try:
         return parse_message(stream, limits)
     except OSError as exc:
-        raise ReceiveFailure(f"connection failed: {exc or type(exc).__name__}") from exc
+        raise ReceiveFailure(f"connection failed: {type(exc).__name__}: {exc}") from exc
 
 
 def receive(

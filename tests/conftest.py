@@ -9,7 +9,11 @@ entry by entry, so the tests built on them are independent of the encoder.
 
 from __future__ import annotations
 
+import socket
+import struct
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
 from sfix.session import SessionDecoder
-from sfix.wirecodec import read_container
+from sfix.wirecodec import Hello, frame_message, read_container
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracle` importable
 
@@ -67,6 +71,26 @@ def decode_container(stream) -> list[bytes]:
     session = SessionDecoder("container")
     messages = read_container(stream)
     return [frame.samples for frame in map(session.accept, messages) if frame is not None]
+
+
+def hello_then(finish) -> tuple[str, int]:
+    """One-shot server: sends a 4x2 HELLO, runs finish(conn), then closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        conn, _ = listener.accept()
+        with conn, listener:
+            conn.sendall(frame_message(Hello(FrameGeometry(4, 2, 1), 25, 1)))
+            finish(conn)
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()
+
+
+def reset(conn: socket.socket) -> None:
+    """Make closing `conn` send RST, once the client has had time to read HELLO."""
+    time.sleep(0.2)
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
 
 def rows_to_frame(rows: list[list[int]]) -> Frame:

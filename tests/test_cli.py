@@ -6,15 +6,13 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import decode_container
+from conftest import decode_container, hello_then, reset
 from sfix import cli, net
-from sfix.core import FrameGeometry
 from sfix.ingest import SynthParams, VideoSource, gen_low_motion, read_y4m, write_y4m
 from sfix.wirecodec import Hello, frame_message, read_container
 
@@ -380,25 +378,8 @@ class TestRecvCommand:
         assert not (tmp_path / "rx.y4m").exists()
 
     def test_recv_reset_mid_stream_is_runtime_error(self, tmp_path, capsys):
-        import socket
-
-        listener = socket.create_server(("127.0.0.1", 0))
-        host, port = listener.getsockname()
-
-        def reset_after_hello():
-            conn, _ = listener.accept()
-            with conn, listener:
-                conn.sendall(frame_message(Hello(FrameGeometry(4, 2, 1), 25, 1)))
-                time.sleep(0.2)
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-
-        server = threading.Thread(target=reset_after_hello)
-        server.start()
-        try:
-            rc = cli.main(["recv", "--connect", f"{host}:{port}",
-                           "--output", str(tmp_path / "rx.y4m")])
-        finally:
-            server.join(timeout=10.0)
+        host, port = hello_then(reset)
+        rc = cli.main(["recv", "--connect", f"{host}:{port}", "--output", str(tmp_path / "rx.y4m")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("sfix: error: connection failed")
         assert not (tmp_path / "rx.y4m").exists()

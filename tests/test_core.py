@@ -87,6 +87,12 @@ class TestFrame:
         assert isinstance(frame.samples, bytes)
         assert frame.samples == bytes(range(12))
 
+    def test_writable_array_that_owns_its_memory_is_copied(self):
+        array = np.arange(12, dtype=np.uint8)
+        frame = Frame(GEOM, array)
+        array[:] = 0xFF
+        assert frame.samples == bytes(range(12))
+
     def test_read_only_array_is_taken_without_a_copy(self):
         array = read_only(np.arange(12, dtype=np.uint8))
         frame = Frame(GEOM, array)

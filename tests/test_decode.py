@@ -192,8 +192,9 @@ class TestDecodedFrame:
         assert decoded == twin and hash(decoded) == hash(twin)
         assert decoded in {twin} and twin in {decoded} and len({decoded, twin}) == 1
 
-    def test_samples_are_read_only(self):
+    def test_samples_are_the_replays_array_read_only(self):
         decoded, _ = decoded_pair(70)
+        assert isinstance(decoded.samples, memoryview)  # handed over, not copied to bytes
         assert not np.frombuffer(decoded.samples, np.uint8).flags.writeable
         with pytest.raises(TypeError):
             decoded.samples[0] = 1

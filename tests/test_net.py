@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import hello_then, reset
 from sfix import encode, net
 from sfix import wirecodec as wc
 from sfix.bench import read_metrics_csv
@@ -787,28 +788,6 @@ class TestProtocolPolicing:
         address = scripted_server([HELLO, short_ref])
         with pytest.raises(net.DecodeFailure):
             net.receive(address, timeout=5.0)
-
-
-def hello_then(finish):
-    """One-shot server: sends HELLO, then runs finish(conn), then closes the connection."""
-    listener = socket.create_server(("127.0.0.1", 0))
-
-    def run():
-        conn, _ = listener.accept()
-        try:
-            conn.sendall(HELLO)
-            finish(conn)
-        finally:
-            conn.close()
-            listener.close()
-
-    threading.Thread(target=run, daemon=True).start()
-    return listener.getsockname()
-
-
-def reset(conn):
-    time.sleep(0.2)  # the client reads HELLO first
-    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
 
 
 class TestConnectionErrors:
