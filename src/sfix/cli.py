@@ -149,6 +149,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 if frame is not None:
                     count += 1
                     yield frame
+                    del frame  # written: the next frame is rebuilt in its buffer
 
         with _atomic_output(args.output) as out:
             if args.raw:

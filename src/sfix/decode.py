@@ -4,21 +4,24 @@ A delta is validated before any output is produced; a validated delta's
 counts tile the frame and consume the difference buffer exactly, so the
 replay is a few whole-array steps instead of a cursor walk:
 
-* the output starts as a copy of the reference, which already holds every
-  COPY_FROM_REF run (positional, never searched); it is the one copy a
-  decoded frame costs;
+* the output starts as the reference's samples, which already hold every
+  COPY_FROM_REF run (positional, never searched): a copy of them, or, for a
+  caller that gives up the reference's own array, that array;
 * the difference buffer is scattered as is: a COPY_FROM_DIFF entry's
   samples over its run, a REPEAT_FROM_DIFF entry's single sample onto the
   first position of its run;
 * each repeat's first sample is then copied over the rest of its run, so
   only REPEAT_FROM_DIFF entries are expanded.
 
-The output array is then made read-only and becomes the Frame's samples
-as it is, with no copy out to bytes.  An EQUAL_FRAMES delta shares the
-reference's samples.
+Only the samples the delta names are written, under 1% of a frame for
+light motion, so a rebuild in place skips the whole-frame copy.  The output
+array is then made read-only and becomes the Frame's samples as it is, with
+no copy out to bytes.  An EQUAL_FRAMES delta shares the reference's samples.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +37,8 @@ from .core import (
 )
 
 
-def _replay(ref_samples: Samples, records: np.ndarray, diff: bytes) -> np.ndarray:
-    """Samples a validated, non-EQUAL_FRAMES index produces, as a uint8 array."""
+def _replay(out: np.ndarray, records: np.ndarray, diff: bytes) -> np.ndarray:
+    """Turn `out`, the reference's samples, into what a validated non-EQUAL_FRAMES index produces."""
     code = records["code"]
     count = records["count"].astype(np.int64)
     starts = np.cumsum(count) - count
@@ -43,7 +46,6 @@ def _replay(ref_samples: Samples, records: np.ndarray, diff: bytes) -> np.ndarra
     from_diff = code != CODE_COPY_FROM_REF
     # How many output positions each entry takes straight from the diff.
     width = np.where(repeat, 1, count)
-    out = np.frombuffer(ref_samples, dtype=np.uint8).copy()
     out[concat_ranges(starts[from_diff], width[from_diff])] = np.frombuffer(diff, dtype=np.uint8)
     first = starts[repeat]
     rest = count[repeat] - 1
@@ -51,17 +53,27 @@ def _replay(ref_samples: Samples, records: np.ndarray, diff: bytes) -> np.ndarra
     return out
 
 
-def decode_delta(ref: Frame, delta: FrameDelta) -> Frame:
+def _copy(samples: Samples) -> np.ndarray:
+    return np.frombuffer(samples, dtype=np.uint8).copy()
+
+
+def decode_delta(ref: Frame, delta: FrameDelta, into: Optional[np.ndarray] = None) -> Frame:
     """Reconstruct the full frame a delta encodes against `ref`.
 
-    Raises an InvalidDelta subclass if the delta fails validation against
-    the reference geometry; a validated delta always decodes completely,
-    consuming the difference buffer exactly.
+    The frame is rebuilt in a copy of ref's samples, or, given `into`, in
+    that array: the read-only uint8 array that owns ref's samples, which
+    the caller gives up because nothing else refers to it (SessionDecoder
+    passes its reference's).  Raises an InvalidDelta subclass, having
+    written nothing, if the delta fails validation against the reference
+    geometry; a validated delta always decodes completely, consuming the
+    difference buffer exactly.
     """
     validate_delta(delta, ref.geometry)
     if delta.records["code"][0] == CODE_EQUAL_FRAMES:
         return Frame(ref.geometry, ref.samples)
-    out = _replay(ref.samples, delta.records, delta.diff)
+    out = _copy(ref.samples) if into is None else into
+    out.flags.writeable = True
+    _replay(out, delta.records, delta.diff)
     out.flags.writeable = False
     return Frame(ref.geometry, out)
 
@@ -81,4 +93,4 @@ def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
     if records["code"][0] == CODE_EQUAL_FRAMES:
         return bytes(ref.samples)
     produced = int(records["count"][:n_entries].sum(dtype=np.uint64))
-    return _replay(ref.samples, records, delta.diff)[:produced].tobytes()
+    return _replay(_copy(ref.samples), records, delta.diff)[:produced].tobytes()

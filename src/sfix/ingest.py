@@ -167,6 +167,7 @@ def write_y4m(
             raise GeometryMismatch(f"{frame.geometry} != {geometry}")
         written += stream.write(b"FRAME\n")
         written += stream.write(frame.samples)
+        del frame  # let go before the next is made: a decoder may rebuild it in place
     return written
 
 
@@ -192,6 +193,7 @@ def write_raw(stream: BinaryIO, frames: Iterable[Frame]) -> int:
     written = 0
     for frame in frames:
         written += stream.write(frame.samples)
+        del frame  # as in write_y4m
     return written
 
 

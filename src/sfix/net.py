@@ -6,10 +6,11 @@ loop thread owns the listener and every client socket, non-blocking, and
 sends each client what its kernel buffer takes from its queue of shared
 framed blobs.  Every message goes out by one rule, StreamServer._broadcast,
 which cuts a client holding more than OUTBOX_SIZE blobs as a slow consumer
-if none of its bytes move until the loop's next pass has tried it: no
-timer, and no lock held while it waits.  A client leaves the fan-out list
-one way, StreamServer._drop: when the broadcast cuts it, or when a send
-fails.  receive() reads messages off the socket for a SessionDecoder.
+if none of its bytes move until the loop's next pass has tried it, or if it
+still holds more than OUTBOX_CAP blobs then: no timer, and no lock held
+while it waits.  A client leaves the fan-out list one way,
+StreamServer._drop: when the broadcast cuts it, or when a send fails.
+receive() reads messages off the socket for a SessionDecoder.
 
 A client joining mid-stream gets HELLO, a REF_FRAME of the reference
 current when it connected, then the deltas everyone gets.  The keyframe is
@@ -56,6 +57,7 @@ from .wirecodec import delta_to_message, message_to_delta, message_to_samples  #
 log = logging.getLogger("sfix.net")
 
 OUTBOX_SIZE = 32  # blobs a client may hold after a broadcast before the loop must move its bytes
+OUTBOX_CAP = 2 * OUTBOX_SIZE  # blobs a client may hold once that pass has run, moved or not
 _JOIN_TIMEOUT = 10.0
 _END_TYPE = bytes((MSG_END,))
 
@@ -300,8 +302,11 @@ class StreamServer:
         push() and here must still get this frame as a DELTA.  A client then
         holding more than OUTBOX_SIZE blobs is cut as a slow consumer if none
         of its bytes move from this hold to the end of the loop's first pass
-        begun after it.  That pass, waited for with no lock held, tries every
-        client afresh, so a loop that has not run yet cuts no one.
+        begun after it, or if it still holds more than OUTBOX_CAP blobs when
+        that pass ends: a peer that reads a trickle would otherwise keep
+        alive every blob the others have released.  That pass, waited for
+        with no lock held, tries every client afresh, so a loop that has not
+        run yet cuts no one.
         """
         with self._lock:
             for client in self._clients:
@@ -316,6 +321,8 @@ class StreamServer:
                 for client, moved in full:
                     if client.moved == moved:
                         self._drop(client, "slow consumer")
+                    elif len(client.outbox) > OUTBOX_CAP:
+                        self._drop(client, f"slow consumer: {len(client.outbox)} blobs queued")
 
     def finish(self) -> ServeReport:
         """Broadcast END, wait until the loop has sent it, and drop whom it could not reach."""
@@ -389,6 +396,11 @@ def receive(
     that fails raises ReceiveFailure, with the OSError as its cause.  What
     `sink` raises propagates as it is.  Per-frame reconstruction metrics
     are written as CSV when metrics_path is given.
+
+    A frame `sink` keeps, or any view of its samples, never changes; one it
+    lets go lets the next frame be rebuilt in its buffer, with no
+    whole-frame copy.  The SessionDecoder is this call's own, so no other
+    thread calls its accept() or reads its reference.
     """
     host, port = parse_address(connect_address)
     try:
@@ -430,6 +442,7 @@ def receive(
             report.frames_received += 1
             if sink is not None:
                 sink(frame)
+            del frame  # unheld, the next frame is rebuilt in this one's buffer
 
     if metrics_path is not None:
         write_metrics_csv(metrics_path, rows)

@@ -16,8 +16,12 @@ caller can swap them, as a tracer does.
 
 from __future__ import annotations
 
+import sys
+import sysconfig
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from . import decode, encode, wirecodec
 from .core import EncoderConfig, EncoderMode, Frame, FrameGeometry
@@ -67,15 +71,31 @@ class SessionDecoder:
     `where` names the message stream in ordering errors ("session",
     "container").  Ordering faults raise ProtocolViolation; a payload that
     does not fit the geometry or does not decode raises the wire or codec
-    error as it is.
+    error as it is, and leaves the reference as it was.
+
+    A frame accept() returned never changes while the caller keeps it, or
+    any view of its samples.  Letting it go before the next accept() lets
+    the next DELTA be rebuilt in its buffer instead of in a copy: between
+    calls the session holds the reference only as the array that owns its
+    samples (or, after a REF_FRAME, the keyframe's bytes), and before each
+    DELTA it compares that array's reference count with the count it holds
+    itself.  A Frame, a memoryview or a numpy view of the samples all keep
+    the array referenced.  Interpreters other than CPython, and CPython
+    built without the GIL, always copy.  accept() and `reference` are not
+    for use from two threads at once.
     """
 
     def __init__(self, where: str = "session"):
         self.hello: Optional[Hello] = None
-        self.reference: Optional[Frame] = None
         self.limits = wirecodec.OPENING_LIMITS  # what the next header may declare
         self._where = where
         self._next_no = 0
+        self._samples: Union[bytes, np.ndarray, None] = None  # the reference's
+
+    @property
+    def reference(self) -> Optional[Frame]:
+        """The current reference, as a new Frame over its samples on each access."""
+        return None if self._samples is None else Frame(self.hello.geometry, self._samples)
 
     def accept(self, msg: StreamMessage) -> Optional[Frame]:
         """Apply one message; the rebuilt frame, or None for HELLO and END."""
@@ -91,17 +111,41 @@ class SessionDecoder:
             raise ProtocolViolation(f"HELLO repeated mid-{self._where}")
         geometry = self.hello.geometry
         if isinstance(msg, RefFrame):
-            if self.reference is not None:
+            if self._samples is not None:
                 raise ProtocolViolation(f"REF_FRAME repeated mid-{self._where}")
             wirecodec.check_declared_lengths(msg, geometry)
-            self.reference = Frame(geometry, wirecodec.message_to_samples(msg))
+            frame = Frame(geometry, wirecodec.message_to_samples(msg))
         else:
-            if self.reference is None:
+            if self._samples is None:
                 raise ProtocolViolation("DELTA before any REF_FRAME")
             if msg.frame_no != self._next_no:
                 raise ProtocolViolation(f"frame_no gap: expected {self._next_no}, got {msg.frame_no}")
             wirecodec.check_declared_lengths(msg, geometry)
-            frame = decode.decode_delta(self.reference, wirecodec.message_to_delta(msg))
-            self.reference = encode.advance_reference(self.reference, frame)
+            delta = wirecodec.message_to_delta(msg)
+            into = self._samples if self._unheld() else None
+            frame = decode.decode_delta(self.reference, delta, into)
+        samples = frame.samples
+        self._samples = samples if isinstance(samples, bytes) else samples.obj
         self._next_no = msg.frame_no + 1
-        return self.reference
+        return frame
+
+    def _unheld(self) -> bool:
+        """Whether the reference is an array that nothing outside this session refers to."""
+        return _REBUILD_IN_PLACE and type(self._samples) is np.ndarray \
+            and self._refcount() == _OWN_REFS
+
+    def _refcount(self) -> int:
+        return sys.getrefcount(self._samples)
+
+
+# The references a session holds to its reference's array, as _refcount
+# counts them, measured here rather than assumed: what getrefcount reads is
+# the interpreter's own affair.  Only CPython with the GIL keeps one exact
+# count; PyPy keeps none, and a build without the GIL counts other threads'
+# references apart from the owner's.
+_REBUILD_IN_PLACE = (sys.implementation.name == "cpython"
+                     and not sysconfig.get_config_var("Py_GIL_DISABLED"))
+_probe = SessionDecoder()
+_probe._samples = np.zeros(1, np.uint8)
+_OWN_REFS = _probe._refcount()
+del _probe

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfix import decode
 from sfix.core import EncoderConfig, EncoderMode, Frame, FrameGeometry
 from sfix.session import SessionDecoder
 from sfix.wirecodec import Hello, frame_message, read_container
@@ -98,6 +99,20 @@ def rows_to_frame(rows: list[list[int]]) -> Frame:
     geometry = FrameGeometry(width=width, height=len(rows), channels=1)
     flat = bytes(value for row in rows for value in row)
     return Frame(geometry, flat)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch) -> list[bool]:
+    """For each DELTA decoded from here on, whether it was rebuilt in its reference's buffer."""
+    seen: list[bool] = []
+    real = decode.decode_delta
+
+    def recording(ref, delta, into=None):
+        seen.append(into is not None)
+        return real(ref, delta, into)
+
+    monkeypatch.setattr(decode, "decode_delta", recording)
+    return seen
 
 
 @pytest.fixture

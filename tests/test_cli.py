@@ -106,13 +106,15 @@ class TestHelp:
 
 
 class TestEncodeDecode:
-    def test_round_trip_is_lossless(self, tmp_path):
+    def test_round_trip_is_lossless(self, tmp_path, rebuilds):
         video = gen_video(tmp_path)
         container = tmp_path / "v.sfix"
         restored = tmp_path / "restored.y4m"
         assert cli.main(["encode", "--input", str(video), "--output", str(container)]) == 0
         assert cli.main(["decode", "--input", str(container), "--output", str(restored)]) == 0
         assert restored.read_bytes() == video.read_bytes()
+        # each frame is written and let go, so every DELTA after the first is rebuilt in place
+        assert rebuilds == [False] + [True] * 6
 
     def test_container_is_deterministic(self, tmp_path):
         video = gen_video(tmp_path)
@@ -130,7 +132,7 @@ class TestEncodeDecode:
             hello = next(read_container(fh))
         assert hello.baseline is True
 
-    def test_raw_input_round_trip(self, tmp_path):
+    def test_raw_input_round_trip(self, tmp_path, rebuilds):
         frames = list(
             gen_low_motion(
                 SynthParams(seed=3, n_frames=5, width=16, height=8,
@@ -149,6 +151,7 @@ class TestEncodeDecode:
             ["decode", "--input", str(container), "--output", str(raw_out), "--raw"]
         ) == 0
         assert raw_out.read_bytes() == raw_in.read_bytes()
+        assert rebuilds == [False] + [True] * 3
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = cli.main(
@@ -338,7 +341,7 @@ class TestServeCommand:
 
 
 class TestRecvCommand:
-    def test_recv_writes_matching_y4m(self, tmp_path):
+    def test_recv_writes_matching_y4m(self, tmp_path, rebuilds):
         frames = list(gen_low_motion(SynthParams(seed=4, n_frames=6)))
         source = VideoSource(frames[0].geometry, Fraction(25, 1), iter(frames))
         server = net.StreamServer(source).start()
@@ -365,6 +368,7 @@ class TestRecvCommand:
         write_y4m(want, frames[0].geometry, frames, Fraction(25, 1))
         assert out.read_bytes() == want.getvalue()
         assert metrics.read_text().count("\n") == 6  # header + 5 delta rows
+        assert rebuilds == [False] + [True] * 4  # the sink writes each frame and lets it go
 
     def test_recv_connect_failure(self, tmp_path, capsys):
         import socket

@@ -4,6 +4,8 @@ Deterministic tests drive StreamServer.send_next_frame() manually so client
 joins happen at exact frame boundaries; pacing is covered separately.
 """
 
+import contextlib
+import hashlib
 import io
 import itertools
 import socket
@@ -119,6 +121,24 @@ class TestLoopbackStreaming:
         assert report.frames_encoded == 50
         assert report.clients_total == 1
         assert report.clients_dropped == 0
+
+    def test_a_sink_that_lets_go_gets_each_frame_rebuilt_in_place(self, rebuilds):
+        frames = synth_frames(20, seed=5)
+        digests = []
+        server = net.StreamServer(make_source(frames)).start()
+        try:
+            client = threading.Thread(target=net.receive, args=(server.address,), kwargs={
+                "sink": lambda f: digests.append(hashlib.sha256(f.samples).digest())})
+            client.start()
+            assert server.wait_for_clients(1)
+            while server.send_next_frame():
+                pass
+            server.finish()
+            client.join(timeout=15.0)
+        finally:
+            server.close()
+        assert digests == [hashlib.sha256(f.samples).digest() for f in frames]
+        assert rebuilds == [False] + [True] * 18
 
     def test_mid_join_bootstraps_from_current_reference(self):
         frames = synth_frames(50, seed=3)
@@ -566,6 +586,50 @@ class TestBackPressure:
         finally:
             stalled.close()
             server.close()
+
+    def test_trickle_reader_is_cut_at_the_cap(self, monkeypatch):
+        # 64 KiB of noise every 10 ms to a peer with a 2 KiB receive buffer
+        # that reads 512 B every 0.5 ms: its bytes keep moving, and without
+        # the cap it stayed listed to the end, holding 93-95 blobs
+        queued = []
+        drop = net.StreamServer._drop
+
+        def recording_drop(server, client, reason):
+            queued.append((client.sock.getpeername(), reason, len(client.outbox)))
+            drop(server, client, reason)
+
+        monkeypatch.setattr(net.StreamServer, "_drop", recording_drop)
+        frames = noise_frames(150, FrameGeometry(256, 256))
+        server = net.StreamServer(make_source(frames)).start()
+        trickle = socket.socket()
+        trickle.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 2048)
+        done = threading.Event()
+
+        def sip():
+            with contextlib.suppress(OSError):
+                while not done.is_set() and trickle.recv(512):
+                    time.sleep(0.0005)
+
+        sipper = threading.Thread(target=sip, daemon=True)
+        try:
+            trickle.connect(server.address)
+            sipper.start()
+            healthy = Receiver(server.address)
+            assert server.wait_for_clients(2)
+            while server.send_next_frame():
+                time.sleep(0.01)
+            report = server.finish()
+            assert healthy.join().frames_received == 150
+            assert healthy.samples == [f.samples for f in frames]
+            [(peer, reason, blobs)] = queued
+            assert peer == trickle.getsockname() and reason.startswith("slow consumer")
+        finally:
+            done.set()
+            sipper.join(5.0)
+            trickle.close()
+            server.close()
+        assert report.clients_dropped == 1
+        assert blobs <= net.OUTBOX_CAP + 1  # cut by the broadcast that took it past the cap
 
     def test_healthy_writer_delayed_once_is_not_cut(self, monkeypatch):
         # the loop loses 20 ms once in a send, as it may waiting for the

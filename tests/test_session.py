@@ -3,14 +3,17 @@
 The fuzz gate feeds thousands of seeded mutations of small containers
 (bit flips, truncations, splices, length-field overwrites and re-deflated
 index edits) through read_container and a SessionDecoder, the way
-`sfix decode` reads a file.  Every case must end in the original frames
-or in one of the package's errors; anything else (an IndexError, a numpy
-error) is a bug in the decoder.
+`sfix decode` reads a file: half of them keeping every frame, half letting
+each go so that the next is rebuilt in its buffer.  Every case must end in
+the original frames or in one of the package's errors; anything else (an
+IndexError, a numpy error) is a bug in the decoder.
 """
 
+import hashlib
 import io
 import random
 import struct
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,9 @@ import pytest
 
 from conftest import decode_container
 from sfix import wirecodec as wc
-from sfix.core import CodecError, EncoderConfig, EncoderMode, Frame, FrameGeometry
+from sfix.core import (CodecError, EncoderConfig, EncoderMode, Frame, FrameDelta, FrameGeometry,
+                       InvalidDelta)
+from sfix.encode import encode_delta
 from sfix.ingest import SourceError, SynthParams, gen_low_motion
 from sfix.session import NetError, ProtocolViolation, SessionDecoder, SessionEncoder
 
@@ -43,6 +48,14 @@ def container(messages):
 
 def decode(data):
     return decode_container(io.BytesIO(data))
+
+
+def decode_letting_go(data):
+    """Each frame's sha256, the frame let go before the next is made, as `sfix decode` does."""
+    session = SessionDecoder("container")
+    frames = filter(None, map(session.accept, wc.read_container(io.BytesIO(data))))
+    # map() drops each frame before it pulls the next; a for loop's name would hold it
+    return list(map(lambda frame: hashlib.sha256(frame.samples).digest(), frames))
 
 
 class TestSessionEncoder:
@@ -126,6 +139,92 @@ class TestSessionDecoder:
             session.accept(wc.Delta(1, 10, b"garbage!", 4, b"junk"))
 
 
+def moving_clip(n, seed=7):
+    """A clip in which every frame differs from the one before it."""
+    frames = clip(n, seed=seed, width=24, height=16, block_count=2)
+    assert all(a != b for a, b in zip(frames, frames[1:]))
+    return frames
+
+
+def drop_each(session, messages):
+    """Accept each message and let its frame go, as net.receive does."""
+    for msg in messages:
+        session.accept(msg)
+
+
+# Each way a caller can keep a decoded frame: (name, keep(frame, session), what it holds).
+KEEPERS = [
+    ("frame", lambda f, s: f, lambda kept: kept.samples),
+    ("samples", lambda f, s: f.samples, bytes),
+    ("slice of samples", lambda f, s: f.samples[1:], bytes),
+    ("np.frombuffer", lambda f, s: np.frombuffer(f.samples, np.uint8), lambda a: a.tobytes()),
+    ("samples.obj", lambda f, s: f.samples.obj, lambda a: a.tobytes()),
+    ("session.reference", lambda f, s: s.reference, lambda kept: kept.samples),
+    ("list", lambda f, s: [f], lambda kept: kept[0].samples),
+    ("set", lambda f, s: {f}, lambda kept: next(iter(kept)).samples),
+]
+
+
+class TestRebuildInPlace:
+    """A frame anyone can still see never changes; one let go is rebuilt in place."""
+
+    @pytest.mark.parametrize("keep,held", [k[1:] for k in KEEPERS], ids=[k[0] for k in KEEPERS])
+    def test_a_kept_frame_survives_five_more_accepts(self, keep, held):
+        frames = moving_clip(9)
+        messages = session_messages(frames)
+        session = SessionDecoder()
+        drop_each(session, messages[:3])  # HELLO, REF_FRAME 0, DELTA 1
+        kept = keep(session.accept(messages[3]), session)  # DELTA 2
+        want = bytes(held(kept))
+        assert want in (frames[2].samples, frames[2].samples[1:])
+        drop_each(session, messages[4:9])
+        assert bytes(held(kept)) == want
+        assert session.reference == frames[7]
+
+    def test_decode_container_keeps_every_frame(self):
+        frames = moving_clip(9)
+        assert decode(container(session_messages(frames))) == [f.samples for f in frames]
+
+    def test_a_frame_let_go_is_rebuilt_in_its_buffer(self):
+        frames = moving_clip(9)
+        messages = session_messages(frames)
+        session = SessionDecoder()
+        drop_each(session, messages[:3])
+        owner = weakref.ref(session.reference.samples.obj)
+        for msg, want in zip(messages[3:-1], frames[2:]):
+            frame = session.accept(msg)
+            assert frame == want and frame.samples.obj is owner()
+            del frame
+        assert not owner().flags.writeable
+
+    def test_a_delta_failing_validation_leaves_the_reference_untouched(self):
+        frames = moving_clip(4)
+        messages = session_messages(frames)
+        session = SessionDecoder()
+        drop_each(session, messages[:3])
+        owner = weakref.ref(session.reference.samples.obj)
+        delta = encode_delta(frames[1], frames[2])
+        short = delta.records.copy()
+        short["count"][-1] -= 1
+        for bad in (FrameDelta(short, delta.diff), FrameDelta(delta.records, delta.diff + b"\0")):
+            with pytest.raises(InvalidDelta):
+                session.accept(wc.delta_to_message(2, bad))
+            assert session.reference == frames[1] and session.reference.samples.obj is owner()
+        assert session.accept(messages[3]) == frames[2]
+
+    def test_an_equal_frames_delta_shares_the_samples(self):
+        a, b, c = moving_clip(3)
+        messages = session_messages([a, a, b, b, c])
+        session = SessionDecoder()
+        drop_each(session, messages[:3])  # REF_FRAME 0 and its equal DELTA 1
+        kept = session.accept(messages[3])
+        again = session.accept(messages[4])
+        assert again == kept == b and again is not kept
+        assert np.shares_memory(np.frombuffer(again.samples, np.uint8),
+                                np.frombuffer(kept.samples, np.uint8))
+        assert session.accept(messages[5]) == c and again == kept == b
+
+
 def test_bytes_after_end_are_not_read():
     """read_container stops at END: trailing bytes are accepted, whatever they hold."""
     frames = clip(seed=1)
@@ -172,6 +271,10 @@ def _bases():
         ([Frame(FrameGeometry(80, 60), row.tobytes()) for row in noise], EncoderConfig()),
     ]
     return [(session_messages(f, cfg), [x.samples for x in f]) for f, cfg in clips]
+
+
+def _sha256s(frames):
+    return [hashlib.sha256(samples).digest() for samples in frames]
 
 
 def _edit_index(rng, messages):
@@ -223,11 +326,13 @@ def test_mutated_containers_end_in_the_frames_or_a_package_error():
     for case in range(4000):
         messages, frames = bases[case % len(bases)]
         mutated = _mutate(rng, messages, rng.choice(others))
+        keep = case % 2  # odd cases keep every frame; even ones rebuild each in place
         try:
-            got = decode(mutated)
+            got = decode(mutated) if keep else decode_letting_go(mutated)
         except PACKAGE_ERRORS:
             outcomes["error"] += 1
             continue
-        assert got == frames, f"case {case}: a mutation decoded to other frames"
+        assert got == (frames if keep else _sha256s(frames)), \
+            f"case {case}: a mutation decoded to other frames"
         outcomes["frames"] += 1
     assert outcomes["error"] > 3000 and outcomes["frames"] > 0, outcomes
