@@ -68,13 +68,21 @@ def _read_line(stream: BinaryIO, context: str) -> bytes:
             raise BadSignature(f"{context} line longer than {_MAX_HEADER_LINE} bytes")
 
 
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
+def _read_upto(stream: BinaryIO, n: int) -> bytes:
+    """n bytes, or fewer only where the stream ends: a read may return less than asked."""
     data = stream.read(n)
-    while len(data) < n:
+    while data and len(data) < n:
         chunk = stream.read(n - len(data))
         if not chunk:
-            raise TruncatedFrame(f"frame record short by {n - len(data)} bytes")
+            break
         data += chunk
+    return data
+
+
+def _read_exact(stream: BinaryIO, n: int) -> bytes:
+    data = _read_upto(stream, n)
+    if len(data) < n:
+        raise TruncatedFrame(f"frame record short by {n - len(data)} bytes")
     return data
 
 
@@ -177,13 +185,11 @@ def read_raw(stream: BinaryIO, geometry: FrameGeometry, fps: Fraction = Fraction
     def frames() -> Iterator[Frame]:
         frame_size = geometry.total_samples
         while True:
-            data = stream.read(frame_size)
+            data = _read_upto(stream, frame_size)
             if not data:
                 return
             if len(data) < frame_size:
-                data += stream.read(frame_size - len(data))
-                if len(data) < frame_size:
-                    raise TruncatedFrame(f"trailing {len(data)} bytes are not a whole frame")
+                raise TruncatedFrame(f"trailing {len(data)} bytes are not a whole frame")
             yield Frame(geometry, data)
 
     return VideoSource(geometry, fps, frames())

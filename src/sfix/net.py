@@ -1,21 +1,16 @@
 """Live streaming over TCP: encode once on the server, fan out to clients.
 
-This module is the I/O around session.py's rules.  One thread owns the
-source and a SessionEncoder and broadcasts each frame's wire bytes.  One
-loop thread owns the listener and every client socket, non-blocking, and
-sends each client what its kernel buffer takes from its queue of shared
-framed blobs.  Every message goes out by one rule, StreamServer._broadcast,
-which cuts a client holding more than OUTBOX_SIZE blobs as a slow consumer
-if none of its bytes move until the loop's next pass has tried it, or if it
-still holds more than OUTBOX_CAP blobs then: no timer, and no lock held
-while it waits.  A client leaves the fan-out list one way,
-StreamServer._drop: when the broadcast cuts it, or when a send fails.
+FanOut holds the fan-out rules with no socket, clock, lock or thread: who
+gets which blob, a joiner's deltas held behind its keyframe, the judgement
+of slow consumers, the client cap and END owed.  StreamServer, its shell,
+calls it under one lock from three kinds of thread:
+- the caller of send_next_frame() and finish() broadcasts each frame, then
+  END, and waits with no lock held for the loop pass a broadcast names;
+- one loop thread owns every socket, non-blocking: it admits clients, and
+  begins and ends each pass, reporting what each send moved or its failure;
+- one thread per joiner compresses its keyframe, with no lock held, and
+  reports it ready or failed.
 receive() reads messages off the socket for a SessionDecoder.
-
-A client joining mid-stream gets HELLO, a REF_FRAME of the reference
-current when it connected, then the deltas everyone gets.  The keyframe is
-compressed with no lock held, on a thread that ends once it is queued; the
-deltas broadcast meanwhile are held behind it; the joiner is judged after.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from .ingest import VideoSource
 from .session import NetError, SessionDecoder, SessionEncoder
 from .session import ProtocolViolation  # noqa: F401 - public here as net.ProtocolViolation
 from .wirecodec import (
-    MSG_END,
     End,
     Hello,
     RefFrame,
@@ -58,8 +52,11 @@ log = logging.getLogger("sfix.net")
 
 OUTBOX_SIZE = 32  # blobs a client may hold after a broadcast before the loop must move its bytes
 OUTBOX_CAP = 2 * OUTBOX_SIZE  # blobs a client may hold once that pass has run, moved or not
+# Clients listed at once.  Blobs are shared, but each client pins its socket
+# and, while it joins, its own keyframe, a thread compressing it and up to
+# min(CPUs, 6) part workers: 32 joining at once run at most 224 threads.
+MAX_CLIENTS = 32
 _JOIN_TIMEOUT = 10.0
-_END_TYPE = bytes((MSG_END,))
 
 
 class BindFailure(NetError):
@@ -98,6 +95,7 @@ class ServeReport:
     snapshot_calls: int = 0  # keyframes compressed for joining clients
     clients_total: int = 0
     clients_dropped: int = 0
+    clients_refused: int = 0  # closed on arrival: MAX_CLIENTS were listed
 
 
 @dataclass
@@ -111,16 +109,121 @@ class ReceiveReport:
 
 @dataclass(eq=False)
 class _Client:
-    sock: socket.socket
     peer: str
-    outbox: deque = field(default_factory=deque)  # framed blobs, shared; only the loop pops
-    sent: int = 0  # bytes of outbox[0] the kernel has taken
+    outbox: deque = field(default_factory=deque)  # framed blobs, shared
+    sent: int = 0  # bytes of outbox[0] sent
     held: Optional[list] = None  # blobs broadcast while its keyframe compresses
-    moved: int = 0  # bytes the kernel has taken from it in all
+    moved: int = 0  # bytes sent in all
+
+
+class FanOut:
+    """The fan-out rules, with no I/O: events in, what follows out; one call at a time.
+
+    A client is listed from its admission until it is dropped or the server
+    closes; one that END has reached stays listed.
+    """
+
+    def __init__(self, hello_blob: bytes):
+        self._hello = hello_blob
+        self.clients: list[_Client] = []
+        self._ref: Optional[tuple] = (-1, None)  # (frame_no, reference) a joiner starts from
+        self.passes_done = self._passes = 0  # the last loop pass ended, and passes begun
+        self._judged: list[tuple[int, _Client, int]] = []  # (pass, client, moved then)
+        self.report = ServeReport()
+
+    def admit(self, peer: str) -> tuple[Optional[_Client], Optional[tuple[int, Frame]]]:
+        """List a client, with the (frame_no, reference) of its keyframe if it needs one.
+
+        (None, None) once END is out or MAX_CLIENTS are listed: close it before HELLO.
+        """
+        if self._ref is None:
+            return None, None
+        if len(self.clients) >= MAX_CLIENTS:
+            self.report.clients_refused += 1
+            log.info("client %s refused: %d clients listed", peer, len(self.clients))
+            return None, None
+        client = _Client(peer, deque([self._hello]), held=None if self._ref[1] is None else [])
+        self.clients.append(client)
+        self.report.clients_total += 1
+        return client, None if client.held is None else self._ref
+
+    def keyframe_ready(self, client: _Client, blob: bytes) -> None:
+        """Queue a joiner's REF_FRAME, then the blobs it held."""
+        self.report.snapshot_calls += 1
+        client.outbox.extend([blob, *client.held])
+        client.held = None
+
+    def broadcast(self, blob: bytes, ref: Optional[tuple[int, Frame]]) -> Optional[int]:
+        """Queue `blob` for every client; the pass to wait for before the next broadcast, if any.
+
+        A joiner's blobs are held behind its keyframe.  `ref` (None once END
+        is out) becomes the reference a joiner starts from only now: one
+        admitted earlier must still get this frame as a DELTA.  A client then
+        holding more than OUTBOX_SIZE blobs is judged when the first pass
+        begun after this ends, which tries every client afresh: it is cut as
+        a slow consumer if none of its bytes moved meanwhile, or if it still
+        holds more than OUTBOX_CAP blobs, as a peer reading a trickle would
+        keep alive every blob the others have released.
+        """
+        for client in self.clients:
+            (client.outbox if client.held is None else client.held).append(blob)
+        self._ref = ref
+        self.report.frames_encoded += ref is not None
+        fresh = self._passes + 1
+        full = [(fresh, c, c.moved) for c in self.clients if len(c.outbox) > OUTBOX_SIZE]
+        self._judged += full
+        return fresh if full else None
+
+    def begin_pass(self) -> int:
+        self._passes += 1
+        return self._passes
+
+    def end_pass(self, pass_no: int) -> None:
+        """Judge the clients a broadcast found full before this pass began."""
+        self.passes_done = pass_no
+        due = [j for j in self._judged if j[0] <= pass_no]
+        self._judged = [j for j in self._judged if j[0] > pass_no]
+        for _, client, moved in due:
+            if client.moved == moved:
+                self.drop(client, "slow consumer")
+            elif len(client.outbox) > OUTBOX_CAP:
+                self.drop(client, f"slow consumer: {len(client.outbox)} blobs queued")
+
+    def pending(self, client: _Client) -> Optional[memoryview]:
+        """What to send a listed client next: the rest of its first queued blob."""
+        if client.outbox and client in self.clients:
+            return memoryview(client.outbox[0])[client.sent:]
+        return None
+
+    def sent(self, client: _Client, n: int) -> Optional[memoryview]:
+        """n bytes of the client's pending blob went out; what to send it next."""
+        client.sent += n
+        client.moved += n
+        if client.sent == len(client.outbox[0]):
+            client.outbox.popleft()
+            client.sent = 0
+        return self.pending(client)
+
+    def serves(self, client: _Client) -> bool:
+        """Whether the client's connection stays open: listed, and not sent END, its last blob."""
+        return client in self.clients and (
+            self._ref is not None or bool(client.outbox) or client.held is not None)
+
+    def owed(self) -> list[_Client]:
+        """Listed clients that END, once broadcast, has not yet reached."""
+        return [c for c in self.clients if self.serves(c)]
+
+    def drop(self, client: _Client, reason: str) -> None:
+        """Unlist a client once, counted as dropped: cut by a rule, or a send or keyframe failed."""
+        if client not in self.clients:
+            return
+        self.clients.remove(client)
+        self.report.clients_dropped += 1
+        log.info("client %s dropped: %s", client.peer, reason)
 
 
 class StreamServer:
-    """Fan-out streaming session over one source.
+    """Fan-out streaming session over one source: FanOut's socket and thread shell.
 
     start() binds and starts the loop; stream() runs the paced broadcast
     to source exhaustion and returns the session report.  Tests can
@@ -139,16 +242,13 @@ class StreamServer:
         self._bind_address = parse_address(address)
         self._fps = fps if fps is not None else source.fps
         self._session = SessionEncoder(source.geometry, self._fps, config)
-        self._hello_blob = frame_message(self._session.hello)
-        self._lock = threading.Lock()
+        self._fan = FanOut(frame_message(self._session.hello))
+        self._lock = threading.Lock()  # held around every FanOut call
         self._passed = threading.Condition(self._lock)  # notified as each loop pass ends
-        self._clients: list[_Client] = []
-        self._ref: Optional[tuple] = (-1, None)  # (frame_no, reference) a joiner starts from
-        self._passes = self._passes_done = 0  # loop passes begun, and the last one ended
         self._stopping = False
         self._listener: Optional[socket.socket] = None
         self._loop: Optional[threading.Thread] = None
-        self.report = ServeReport()
+        self.report = self._fan.report
 
     def start(self) -> "StreamServer":
         try:
@@ -173,98 +273,94 @@ class StreamServer:
     @property
     def client_count(self) -> int:
         with self._lock:
-            return len(self._clients)
+            return len(self._fan.clients)
 
     def wait_for_clients(self, n: int, timeout: float = 5.0) -> bool:
         with self._passed:  # the loop lists a client in the pass that admits it
-            return self._passed.wait_for(lambda: len(self._clients) >= n, timeout)
+            return self._passed.wait_for(lambda: len(self._fan.clients) >= n, timeout)
 
     def _serve_loop(self) -> None:
         """Admit clients and send each what its kernel buffer takes, until close()."""
-        owned: list[_Client] = []  # every client whose socket is open
+        socks: dict[_Client, socket.socket] = {}  # every client whose socket is open
         try:
             while not self._stopping:
                 for key, _ in self._selector.select():
                     if key.fileobj is self._listener:
-                        self._admit(owned)
+                        self._admit(socks)
                     elif key.fileobj is self._wake_r:
                         self._wake_r.recv(4096)
                 with self._lock:
-                    self._passes += 1
-                    pass_no, listed = self._passes, set(self._clients)
-                owned = [c for c in owned if self._flush(c, c in listed)]
+                    pass_no = self._fan.begin_pass()
+                socks = {c: sock for c, sock in socks.items() if self._flush(c, sock)}
                 with self._passed:
-                    self._passes_done = pass_no
+                    self._fan.end_pass(pass_no)
                     self._passed.notify_all()
         finally:
             self._selector.close()
-            for sock in [c.sock for c in owned] + [self._listener, self._wake_r, self._wake_w]:
+            for sock in [*socks.values(), self._listener, self._wake_r, self._wake_w]:
                 sock.close()
             with self._passed:
                 self._stopping = True
                 self._passed.notify_all()
 
-    def _admit(self, owned: list[_Client]) -> None:
+    def _admit(self, socks: dict[_Client, socket.socket]) -> None:
         try:
             sock, addr = self._listener.accept()
         except OSError:  # the peer left before it was accepted
             return
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client = _Client(sock, f"{addr[0]}:{addr[1]}", deque([self._hello_blob]))
         with self._lock:
-            ref = self._ref
-            if ref is not None:  # None: END is out
-                client.held = None if ref[1] is None else []
-                self._clients.append(client)
-                self.report.clients_total += 1
-        if ref is None:
+            client, ref = self._fan.admit(f"{addr[0]}:{addr[1]}")
+        if client is None:
             sock.close()
             return
-        owned.append(client)
-        if ref[1] is None:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        socks[client] = sock
+        if ref is None:
             log.info("client %s joined before the first frame", client.peer)
         else:
             threading.Thread(target=self._keyframe, args=(client, *ref), daemon=True).start()
 
     def _keyframe(self, client: _Client, ref_no: int, ref: Frame) -> None:
-        """Queue the joiner's REF_FRAME, compressed with no lock held, then what it held."""
+        """Compress the joiner's REF_FRAME with no lock held, and report it ready or failed."""
         started = time.perf_counter()
-        blob = frame_message(samples_to_message(ref_no, ref.samples))
-        compress_ms = (time.perf_counter() - started) * 1e3
-        with self._lock:
-            self.report.snapshot_calls += 1
-            client.outbox.extend([blob, *client.held])
-            client.held = None
-        self._wake()
-        log.info("client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
-                 client.peer, ref_no, len(blob), compress_ms)
-
-    def _flush(self, client: _Client, keep: bool) -> bool:
-        """Send what the kernel takes; False once the socket closes: END sent, or off the list."""
         try:
-            while keep and client.outbox:
-                blob = client.outbox[0]
-                moved = client.sock.send(memoryview(blob)[client.sent:])
-                client.sent += moved
-                client.moved += moved
-                if client.sent == len(blob):
-                    client.outbox.popleft()
-                    client.sent = 0
-                    keep = blob[:1] != _END_TYPE  # END is the last message a client gets
+            blob = frame_message(samples_to_message(ref_no, ref.samples))
+        except Exception as exc:  # the stream goes on without the joiner; held, it is never judged
+            log.debug("keyframe for client %s failed", client.peer, exc_info=True)
+            with self._lock:
+                self._fan.drop(client, f"keyframe failed: {type(exc).__name__}: {exc}")
+        else:
+            with self._lock:
+                self._fan.keyframe_ready(client, blob)
+            log.info("client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
+                     client.peer, ref_no, len(blob), (time.perf_counter() - started) * 1e3)
+        self._wake()
+
+    def _flush(self, client: _Client, sock: socket.socket) -> bool:
+        """Send what the kernel takes of what FanOut has for the client; False once closed."""
+        with self._lock:
+            data = self._fan.pending(client)
+        try:
+            while data:
+                n = sock.send(data)
+                with self._lock:
+                    data = self._fan.sent(client, n)
         except BlockingIOError:
             pass  # the kernel buffer is full: wait in the selector for room
         except OSError as exc:
+            data = None
             with self._lock:
-                self._drop(client, f"send failed: {exc}")
-            keep = False
-        watched = client.sock in self._selector.get_map()
-        if keep and client.outbox and not watched:
-            self._selector.register(client.sock, selectors.EVENT_WRITE)
-        elif watched and not (keep and client.outbox):
-            self._selector.unregister(client.sock)
+                self._fan.drop(client, f"send failed: {exc}")
+        with self._lock:
+            keep = self._fan.serves(client)
+        watched = sock in self._selector.get_map()
+        if keep and data and not watched:
+            self._selector.register(sock, selectors.EVENT_WRITE)
+        elif watched and not (keep and data):
+            self._selector.unregister(sock)
         if not keep:
-            client.sock.close()
+            sock.close()
         return keep
 
     def _wake(self) -> None:
@@ -273,16 +369,6 @@ class StreamServer:
             with contextlib.suppress(OSError):  # closed: the loop has ended
                 self._wake_w.send(b"\0")
 
-    def _drop(self, client: _Client, reason: str) -> None:
-        """Take a client off the fan-out list, once, and count it as dropped; lock held."""
-        if client not in self._clients:
-            return
-        self._clients.remove(client)
-        self.report.clients_dropped += 1
-        log.info("client %s dropped: %s", client.peer, reason)
-
-    # -- broadcasting ------------------------------------------------------
-
     def send_next_frame(self) -> bool:
         """Pull, encode and broadcast one frame.  False once exhausted."""
         frame = next(self._frames, None)
@@ -290,57 +376,30 @@ class StreamServer:
             return False
         msg = self._session.push(frame)
         self._broadcast(frame_message(msg), (msg.frame_no, self._session.reference))
-        self.report.frames_encoded += 1
         return True
 
     def _broadcast(self, blob: bytes, ref: Optional[tuple[int, Frame]]) -> None:
-        """Give `blob` to every client: one delivery rule for frames and END.
-
-        In one lock hold, `blob` is queued for every client (held behind a
-        joiner's keyframe while that compresses) and `ref` (None once END is
-        out) is published with it, never before: a client admitted between
-        push() and here must still get this frame as a DELTA.  A client then
-        holding more than OUTBOX_SIZE blobs is cut as a slow consumer if none
-        of its bytes move from this hold to the end of the loop's first pass
-        begun after it, or if it still holds more than OUTBOX_CAP blobs when
-        that pass ends: a peer that reads a trickle would otherwise keep
-        alive every blob the others have released.  That pass, waited for
-        with no lock held, tries every client afresh, so a loop that has not
-        run yet cuts no one.
-        """
+        """FanOut.broadcast, then the wait for the pass it names, with no lock held."""
         with self._lock:
-            for client in self._clients:
-                (client.outbox if client.held is None else client.held).append(blob)
-            full = [(c, c.moved) for c in self._clients if len(c.outbox) > OUTBOX_SIZE]
-            self._ref = ref
-            fresh = self._passes + 1
+            fresh = self._fan.broadcast(blob, ref)
         self._wake()
-        if full:
+        if fresh is not None:
             with self._passed:
-                self._passed.wait_for(lambda: self._passes_done >= fresh or self._stopping)
-                for client, moved in full:
-                    if client.moved == moved:
-                        self._drop(client, "slow consumer")
-                    elif len(client.outbox) > OUTBOX_CAP:
-                        self._drop(client, f"slow consumer: {len(client.outbox)} blobs queued")
+                self._passed.wait_for(lambda: self._fan.passes_done >= fresh or self._stopping)
 
     def finish(self) -> ServeReport:
         """Broadcast END, wait until the loop has sent it, and drop whom it could not reach."""
         self._broadcast(frame_message(End()), None)
-
-        def owed() -> list[_Client]:
-            return [c for c in self._clients if c.outbox or c.held is not None]
-
         with self._passed:
-            self._passed.wait_for(lambda: not owed(), _JOIN_TIMEOUT)
-            for client in owed():
-                self._drop(client, "END not sent in time")
+            self._passed.wait_for(lambda: not self._fan.owed(), _JOIN_TIMEOUT)
+            for client in self._fan.owed():
+                self._fan.drop(client, "END not sent in time")
         return self.report
 
     def close(self) -> None:
         """Stop the loop, which closes every socket; listed clients are not counted dropped."""
         with self._lock:
-            self._clients.clear()
+            self._fan.clients.clear()
             self._stopping = True
         self._wake()
         if self._loop is not None:

@@ -135,6 +135,21 @@ class TestWriteY4m:
             ingest.write_y4m(io.BytesIO(), geometry, [alien])
 
 
+class ShortReads(io.RawIOBase):
+    """A stream whose reads return at most 20 bytes, as a pipe's or a socket's may."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        chunk = self._data.read(min(len(buffer), 20))
+        buffer[:len(chunk)] = chunk
+        return len(chunk)
+
+
 class TestRaw:
     def test_round_trip(self):
         geometry = FrameGeometry(3, 3, 3)
@@ -152,6 +167,19 @@ class TestRaw:
         buf = io.BytesIO(bytes(10))
         with pytest.raises(ingest.TruncatedFrame):
             list(ingest.read_raw(buf, FrameGeometry(2, 2)))
+
+    @pytest.mark.parametrize("tail", [0, 10])
+    def test_short_reads_make_whole_frames(self, tail):
+        # each 64-sample frame takes four reads; the stream ends cleanly or in a part frame
+        geometry = FrameGeometry(8, 8)
+        frames = [Frame(geometry, bytes([i] * 64)) for i in range(3)]
+        data = b"".join(f.samples for f in frames) + bytes(tail)
+        source = ingest.read_raw(ShortReads(data), geometry)
+        if tail:
+            with pytest.raises(ingest.TruncatedFrame, match=f"trailing {tail} bytes"):
+                list(source)
+        else:
+            assert [f.samples for f in source] == [f.samples for f in frames]
 
 
 class TestSynth:

@@ -433,6 +433,45 @@ class TestJoinPath:
         assert server.report.clients_dropped == 0
         assert failures == []
 
+    def test_joiner_whose_keyframe_fails_is_dropped(self, monkeypatch, caplog):
+        # as when the part workers cannot start a thread; held behind a keyframe
+        # that never comes, the joiner took every later blob and stalled finish()
+        failures = []
+        monkeypatch.setattr(threading, "excepthook", failures.append)
+
+        def failing(*args):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(net, "samples_to_message", failing)
+        frames = synth_frames(50, seed=59)
+        server = net.StreamServer(make_source(frames)).start()
+        joiner = None
+        try:
+            steady = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            assert completes(send_frames(server, 5))  # frames 0..4
+            with caplog.at_level("INFO", logger="sfix.net"):
+                joiner = socket.create_connection(server.address, timeout=10.0)
+                assert eventually(lambda: server.report.clients_dropped == 1)
+            while server.send_next_frame():
+                pass
+            started = time.monotonic()
+            report = server.finish()
+            finish_seconds = time.monotonic() - started
+            with joiner.makefile("rb") as stream:
+                streamed = stream.read()
+        finally:
+            if joiner is not None:
+                joiner.close()
+            server.close()
+        assert steady.join().frames_received == 50
+        assert steady.samples == [f.samples for f in frames]
+        assert streamed in (b"", wc.frame_message(wc.Hello(frames[0].geometry, 25, 1)))
+        assert finish_seconds < 2.0
+        assert (report.clients_total, report.clients_dropped, report.snapshot_calls) == (2, 1, 0)
+        assert "keyframe failed: RuntimeError: can't start new thread" in caplog.text
+        assert failures == []
+
     def test_joiners_leave_no_thread_once_their_keyframes_are_queued(self):
         frames = synth_frames(8, seed=53)
         server = net.StreamServer(make_source(frames)).start()
@@ -538,13 +577,13 @@ class TestDeparture:
     def test_cut_client_is_counted_once(self, monkeypatch):
         monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
         reasons = []
-        drop = net.StreamServer._drop
+        drop = net.FanOut.drop
 
-        def recording_drop(server, client, reason):
+        def recording_drop(fan, client, reason):
             reasons.append(reason)
-            drop(server, client, reason)
+            drop(fan, client, reason)
 
-        monkeypatch.setattr(net.StreamServer, "_drop", recording_drop)
+        monkeypatch.setattr(net.FanOut, "drop", recording_drop)
         # 48 KiB of noise per frame fills the socket of a client that never reads
         frames = noise_frames(120, FrameGeometry(128, 128, 3))
         server = net.StreamServer(make_source(frames)).start()
@@ -592,13 +631,13 @@ class TestBackPressure:
         # that reads 512 B every 0.5 ms: its bytes keep moving, and without
         # the cap it stayed listed to the end, holding 93-95 blobs
         queued = []
-        drop = net.StreamServer._drop
+        drop = net.FanOut.drop
 
-        def recording_drop(server, client, reason):
-            queued.append((client.sock.getpeername(), reason, len(client.outbox)))
-            drop(server, client, reason)
+        def recording_drop(fan, client, reason):
+            queued.append((client.peer, reason, len(client.outbox)))
+            drop(fan, client, reason)
 
-        monkeypatch.setattr(net.StreamServer, "_drop", recording_drop)
+        monkeypatch.setattr(net.FanOut, "drop", recording_drop)
         frames = noise_frames(150, FrameGeometry(256, 256))
         server = net.StreamServer(make_source(frames)).start()
         trickle = socket.socket()
@@ -622,7 +661,7 @@ class TestBackPressure:
             assert healthy.join().frames_received == 150
             assert healthy.samples == [f.samples for f in frames]
             [(peer, reason, blobs)] = queued
-            assert peer == trickle.getsockname() and reason.startswith("slow consumer")
+            assert peer == "%s:%d" % trickle.getsockname() and reason.startswith("slow consumer")
         finally:
             done.set()
             sipper.join(5.0)
@@ -630,6 +669,25 @@ class TestBackPressure:
             server.close()
         assert report.clients_dropped == 1
         assert blobs <= net.OUTBOX_CAP + 1  # cut by the broadcast that took it past the cap
+
+    def test_connection_past_the_cap_is_refused_before_hello(self, monkeypatch):
+        monkeypatch.setattr(net, "MAX_CLIENTS", 1)
+        frames = synth_frames(10, seed=61)
+        server = net.StreamServer(make_source(frames)).start()
+        try:
+            listed = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            with socket.create_connection(server.address, timeout=10.0) as refused:
+                with refused.makefile("rb") as stream:
+                    assert stream.read() == b""  # closed at once, before HELLO
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+        finally:
+            server.close()
+        assert listed.join().frames_received == 10
+        assert listed.samples == [f.samples for f in frames]
+        assert (report.clients_total, report.clients_refused, report.clients_dropped) == (1, 1, 0)
 
     def test_healthy_writer_delayed_once_is_not_cut(self, monkeypatch):
         # the loop loses 20 ms once in a send, as it may waiting for the
@@ -669,7 +727,8 @@ class TestBackPressure:
         def held_send(sock, data, *args):
             # hold the loop in a send to a client past the bound: a broadcast
             # has found that client full and waits for the loop's next pass
-            if any(c.sock is sock and len(c.outbox) > net.OUTBOX_SIZE for c in server._clients):
+            if threading.current_thread().name.endswith("(_serve_loop)") and any(
+                    len(c.outbox) > net.OUTBOX_SIZE for c in server._fan.clients):
                 held.set()
                 release.wait(10.0)
             return send(sock, data, *args)
