@@ -170,7 +170,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         report = net.serve(source, cfg, args.listen, fps_override=args.fps)
     print(
         f"served frames={report.frames_encoded} clients={report.clients_total}"
-        f" dropped={report.clients_dropped}"
+        f" dropped={report.clients_dropped} refused={report.clients_refused}"
+        f" keyframes={report.snapshot_calls}"
     )
     return 0
 

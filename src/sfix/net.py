@@ -8,8 +8,8 @@ calls it under one lock from three kinds of thread:
   END, and waits with no lock held for the loop pass a broadcast names;
 - one loop thread owns every socket, non-blocking: it admits clients, and
   begins and ends each pass, reporting what each send moved or its failure;
-- one thread per joiner compresses its keyframe, with no lock held, and
-  reports it ready or failed.
+- at most one keyframe thread compresses, with no lock held, the REF_FRAME
+  that every joiner admitted meanwhile shares, and reports it ready or failed.
 receive() reads messages off the socket for a SessionDecoder.
 """
 
@@ -52,9 +52,8 @@ log = logging.getLogger("sfix.net")
 
 OUTBOX_SIZE = 32  # blobs a client may hold after a broadcast before the loop must move its bytes
 OUTBOX_CAP = 2 * OUTBOX_SIZE  # blobs a client may hold once that pass has run, moved or not
-# Clients listed at once.  Blobs are shared, but each client pins its socket
-# and, while it joins, its own keyframe, a thread compressing it and up to
-# min(CPUs, 6) part workers: 32 joining at once run at most 224 threads.
+# Clients listed at once.  Blobs and the keyframe in flight are shared, so
+# this bounds the open sockets and the work of each loop pass and broadcast.
 MAX_CLIENTS = 32
 _JOIN_TIMEOUT = 10.0
 
@@ -112,7 +111,7 @@ class _Client:
     peer: str
     outbox: deque = field(default_factory=deque)  # framed blobs, shared
     sent: int = 0  # bytes of outbox[0] sent
-    held: Optional[list] = None  # blobs broadcast while its keyframe compresses
+    held: Optional[list] = None  # blobs broadcast since its keyframe began compressing, shared
     moved: int = 0  # bytes sent in all
 
 
@@ -127,13 +126,15 @@ class FanOut:
         self._hello = hello_blob
         self.clients: list[_Client] = []
         self._ref: Optional[tuple] = (-1, None)  # (frame_no, reference) a joiner starts from
+        self._held: Optional[list] = None  # blobs broadcast since the keyframe in flight began
         self.passes_done = self._passes = 0  # the last loop pass ended, and passes begun
         self._judged: list[tuple[int, _Client, int]] = []  # (pass, client, moved then)
         self.report = ServeReport()
 
     def admit(self, peer: str) -> tuple[Optional[_Client], Optional[tuple[int, Frame]]]:
-        """List a client, with the (frame_no, reference) of its keyframe if it needs one.
+        """List a client; the (frame_no, reference) of a keyframe to compress, if it starts one.
 
+        A joiner attaches to the keyframe in flight or starts one, held until it is ready.
         (None, None) once END is out or MAX_CLIENTS are listed: close it before HELLO.
         """
         if self._ref is None:
@@ -142,23 +143,33 @@ class FanOut:
             self.report.clients_refused += 1
             log.info("client %s refused: %d clients listed", peer, len(self.clients))
             return None, None
-        client = _Client(peer, deque([self._hello]), held=None if self._ref[1] is None else [])
+        start = self._ref if self._ref[1] is not None and self._held is None else None
+        if start is not None:
+            self._held = []
+        client = _Client(peer, deque([self._hello]), held=self._held)
         self.clients.append(client)
         self.report.clients_total += 1
-        return client, None if client.held is None else self._ref
+        return client, start
 
-    def keyframe_ready(self, client: _Client, blob: bytes) -> None:
-        """Queue a joiner's REF_FRAME, then the blobs it held."""
-        self.report.snapshot_calls += 1
-        client.outbox.extend([blob, *client.held])
-        client.held = None
+    def keyframe_ready(self, blob: Optional[bytes]) -> int:
+        """Queue the keyframe in flight, then the held blobs, to its joiners; None: drop them."""
+        held, self._held = self._held, None
+        joiners = [c for c in self.clients if c.held is not None]  # one keyframe is in flight
+        for client in joiners:
+            client.held = None
+            if blob is None:
+                self.drop(client, "keyframe failed")
+            else:
+                client.outbox.extend([blob, *held])
+        self.report.snapshot_calls += blob is not None
+        return len(joiners)
 
     def broadcast(self, blob: bytes, ref: Optional[tuple[int, Frame]]) -> Optional[int]:
         """Queue `blob` for every client; the pass to wait for before the next broadcast, if any.
 
-        A joiner's blobs are held behind its keyframe.  `ref` (None once END
-        is out) becomes the reference a joiner starts from only now: one
-        admitted earlier must still get this frame as a DELTA.  A client then
+        Joiners' blobs are held behind the keyframe in flight.  `ref` (None
+        once END is out) becomes the reference a joiner starts from only now:
+        one admitted earlier must still get this frame as a DELTA.  A client then
         holding more than OUTBOX_SIZE blobs is judged when the first pass
         begun after this ends, which tries every client afresh: it is cut as
         a slow consumer if none of its bytes moved meanwhile, or if it still
@@ -166,7 +177,10 @@ class FanOut:
         keep alive every blob the others have released.
         """
         for client in self.clients:
-            (client.outbox if client.held is None else client.held).append(blob)
+            if client.held is None:
+                client.outbox.append(blob)
+        if self._held is not None:
+            self._held.append(blob)
         self._ref = ref
         self.report.frames_encoded += ref is not None
         fresh = self._passes + 1
@@ -316,25 +330,21 @@ class StreamServer:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         socks[client] = sock
-        if ref is None:
-            log.info("client %s joined before the first frame", client.peer)
-        else:
-            threading.Thread(target=self._keyframe, args=(client, *ref), daemon=True).start()
+        if ref is not None:
+            threading.Thread(target=self._keyframe, args=ref, daemon=True).start()
 
-    def _keyframe(self, client: _Client, ref_no: int, ref: Frame) -> None:
-        """Compress the joiner's REF_FRAME with no lock held, and report it ready or failed."""
-        started = time.perf_counter()
+    def _keyframe(self, ref_no: int, ref: Frame) -> None:
+        """Compress REF_FRAME(ref_no) with no lock held; report it, ready or failed, to FanOut."""
+        started, failure = time.perf_counter(), ""
         try:
             blob = frame_message(samples_to_message(ref_no, ref.samples))
-        except Exception as exc:  # the stream goes on without the joiner; held, it is never judged
-            log.debug("keyframe for client %s failed", client.peer, exc_info=True)
-            with self._lock:
-                self._fan.drop(client, f"keyframe failed: {type(exc).__name__}: {exc}")
-        else:
-            with self._lock:
-                self._fan.keyframe_ready(client, blob)
-            log.info("client %s joined at frame %d: keyframe %d bytes, compressed in %.1f ms",
-                     client.peer, ref_no, len(blob), (time.perf_counter() - started) * 1e3)
+        except Exception as exc:  # the stream goes on without the joiners, dropped at once
+            log.debug("keyframe of frame %d failed", ref_no, exc_info=True)
+            blob, failure = None, f"keyframe failed: {type(exc).__name__}: {exc}"
+        with self._lock:
+            joiners = self._fan.keyframe_ready(blob)
+        log.info("keyframe of frame %d for %d joiners: %s in %.1f ms", ref_no, joiners,
+                 failure or f"{len(blob)} bytes", (time.perf_counter() - started) * 1e3)
         self._wake()
 
     def _flush(self, client: _Client, sock: socket.socket) -> bool:

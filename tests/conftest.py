@@ -14,6 +14,7 @@ import struct
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,22 @@ BASELINE_DIFF = [
 
 # Output cursor position after each golden index entry (cumulative counts).
 GOLDEN_PREFIX_LENGTHS = [4, 8, 12, 16, 22, 27, 29, 34, 38, 41, 70]
+
+
+def serial_parts(data: bytes) -> bytes:
+    """Level 6 in 512 KiB parts, deflated in order on one thread: what compress() must give."""
+    n = len(data)
+    count = max(1, -(-n // (512 << 10)))
+    bounds = [n * i // count for i in range(count + 1)]
+    out = [b"\x78\x9c"]
+    for i in range(count):
+        start, end = bounds[i], bounds[i + 1]
+        primer = {"zdict": data[start - (32 << 10):start]} if i else {}
+        deflater = zlib.compressobj(6, zlib.DEFLATED, -15, **primer)
+        out.append(deflater.compress(data[start:end]))
+        out.append(deflater.flush(zlib.Z_FINISH if i == count - 1 else zlib.Z_SYNC_FLUSH))
+    out.append(zlib.adler32(data).to_bytes(4, "big"))
+    return b"".join(out)
 
 
 def decode_container(stream) -> list[bytes]:

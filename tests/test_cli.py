@@ -339,6 +339,14 @@ class TestServeCommand:
         assert rc == 1
         assert "sfix: error: port" in capsys.readouterr().err
 
+    def test_serve_reports_refusals_and_keyframes(self, tmp_path, capsys):
+        video = gen_video(tmp_path, frames=3)
+        capsys.readouterr()
+        rc = cli.main(["serve", "--input", str(video), "--listen", "127.0.0.1:0", "--fps", "1000"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "served frames=3 clients=0 dropped=0 refused=0 keyframes=0\n")
+
 
 class TestRecvCommand:
     def test_recv_writes_matching_y4m(self, tmp_path, rebuilds):

@@ -4,27 +4,34 @@ A hypothesis state machine plays the three kinds of thread StreamServer
 runs around FanOut: the broadcaster (frames, END, and the overdue drop
 after END), the loop (admissions; passes that try every client once, each
 client's kernel taking all it is given, nothing, or a few bytes a pass;
-failed sends) and one keyframe thread per joiner (ready or failed), in any
+failed sends) and at most one keyframe thread at a time (ready or failed),
+whose REF_FRAME every joiner admitted while it runs shares, in any
 interleaving the shell allows: a broadcast that names a pass is not
 followed by another until that pass has ended.  The machine keeps its own
 model of every client's queue and of the bytes it has moved, and after
 every step checks that
-- each client's bytes are HELLO, then REF_FRAME(k) of the frame current
-  when it was admitted, then DELTA k+1, k+2, ... with no gap, then END,
-  and nothing after;
+- a joiner starts a compression only when none is in flight, and each
+  compression is counted once, however many joiners it serves;
+- each client's bytes are HELLO, then REF_FRAME(k), k of the compression
+  in flight at its admission, else the current frame, then DELTA k+1,
+  k+2, ... with no gap, then END, and nothing after;
 - the listed clients are exactly the model's: a client is cut only by the
   rule (a slow consumer judged at the end of the first pass begun after
-  the broadcast that found it full, a failed send or keyframe, END overdue)
+  the broadcast that found it full, a failed send, a failed keyframe for
+  every joiner attached to it, END overdue)
   and always by it, and no judged queue is left past OUTBOX_CAP;
 - a client leaves the list once and is counted once, and a refused one is
   counted and never listed;
 - a client that drains its queue in every pass is never cut.
+A direct test pins one compression shared by joiners admitted while it
+runs, ready or failed, whatever schedules the machine happens to draw.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
@@ -51,7 +58,7 @@ class Peer:
     client: object  # FanOut's handle
     rate: Optional[int]  # bytes its kernel takes in a pass; None: its whole queue
     start: int  # frame of its REF_FRAME
-    held: Optional[list]  # blobs broadcast while its keyframe compresses
+    held: Optional[list]  # while its keyframe compresses: the machine's held list, shared
     queue: deque = field(default_factory=deque)
     offset: int = 0  # bytes of queue[0] sent
     moved: int = 0
@@ -71,6 +78,8 @@ class FanOutMachine(RuleBasedStateMachine):
         self.frames = 0  # broadcast so far
         self.ended = self.expired = False
         self.waiting: Optional[int] = None  # the pass the broadcaster waits for
+        self.flight: Optional[int] = None  # frame of the keyframe compressing, if one is
+        self.held: list = []  # blobs broadcast since it began
         self.passes = 0
         self.in_pass = False
         self.dropped = self.refused = self.keyframes = 0
@@ -97,10 +106,14 @@ class FanOutMachine(RuleBasedStateMachine):
     def _broadcast(self, blob, ref):
         fresh, full = self.passes + 1, False
         for peer in self._listed():
-            (peer.queue if peer.held is None else peer.held).append(blob)
-            if peer.held is None and len(peer.queue) > net.OUTBOX_SIZE:
+            if peer.held is not None:
+                continue
+            peer.queue.append(blob)
+            if len(peer.queue) > net.OUTBOX_SIZE:
                 peer.judged.append((fresh, peer.moved))
                 full = True
+        if self.flight is not None:
+            self.held.append(blob)
         self.waiting = self.fan.broadcast(blob, ref)
         assert self.waiting == (fresh if full else None)
 
@@ -133,10 +146,12 @@ class FanOutMachine(RuleBasedStateMachine):
         else:
             assert client is not None
             joins = self.frames > 0
-            assert (ref is not None) == joins
-            if joins:
-                assert ref[0] == self.frames - 1
-            peer = Peer(client, rate, ref[0] if joins else 0, [] if joins else None)
+            assert (ref is not None) == (joins and self.flight is None)  # start, or attach
+            if ref is not None:
+                k = self.frames - 1
+                assert ref == (k, f"reference {k}")
+                self.flight, self.held = k, []
+            peer = Peer(client, rate, self.flight if joins else 0, self.held if joins else None)
             peer.queue.append(HELLO)
             self.peers.append(peer)
 
@@ -208,26 +223,37 @@ class FanOutMachine(RuleBasedStateMachine):
             peer.got_end = peer.queue.popleft() is END
             peer.offset = 0
 
-    # -- the keyframe threads ----------------------------------------------
+    # -- the keyframe thread -----------------------------------------------
 
-    def _joining(self):
-        return [p for p in self.peers if p.held is not None and p.listed]
+    def _end_flight(self):
+        """End the compression in flight: the listed clients attached to it, maybe none."""
+        joiners = [p for p in self._listed() if p.held is not None]
+        for peer in joiners:
+            assert peer.held is self.held and peer.start == self.flight
+            peer.held = None
+        self.flight = None
+        return joiners
 
-    @precondition(lambda self: self._joining())
-    @rule(data=st.data())
-    def keyframe_ready(self, data):
-        peer = data.draw(st.sampled_from(self._joining()))
-        self.fan.keyframe_ready(peer.client, REF[peer.start])
-        peer.queue.extend([REF[peer.start], *peer.held])
-        peer.held = None
+    @precondition(lambda self: self.flight is not None)
+    @rule(now=st.integers(0, 2))
+    def keyframe_ready(self, now):
+        if now:  # most compressions span a few other events
+            return
+        blob = REF[self.flight]
+        joiners = self._end_flight()
+        assert self.fan.keyframe_ready(blob) == len(joiners)
+        for peer in joiners:
+            peer.queue.extend([blob, *self.held])
         self.keyframes += 1
 
-    @precondition(lambda self: self._joining())
-    @rule(data=st.data())
-    def keyframe_fails(self, data):
-        peer = data.draw(st.sampled_from(self._joining()))
-        self.fan.drop(peer.client, "keyframe failed")
-        self._unlist([peer])
+    @precondition(lambda self: self.flight is not None)
+    @rule(now=st.integers(0, 5))
+    def keyframe_fails(self, now):
+        if now:  # most compressions succeed
+            return
+        joiners = self._end_flight()
+        assert self.fan.keyframe_ready(None) == len(joiners)
+        self._unlist(joiners)
 
     # -- the model ---------------------------------------------------------
 
@@ -263,3 +289,26 @@ def test_fan_out_rules_hold_over_any_schedule(monkeypatch):
     monkeypatch.setattr(net, "MAX_CLIENTS", 4)
     run_state_machine_as_test(FanOutMachine, settings=settings(
         max_examples=60, stateful_step_count=60, deadline=None, derandomize=True, database=None))
+
+
+@pytest.mark.parametrize("compressed", [True, False])
+def test_joiners_admitted_during_one_compression_share_it(monkeypatch, compressed):
+    monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
+    fan = net.FanOut(HELLO)
+    fan.broadcast(REF[0], (0, "reference 0"))
+    first, start = fan.admit("first")
+    assert start == (0, "reference 0")
+    fan.broadcast(DELTA[1], (1, "reference 1"))
+    second, start = fan.admit("second")
+    assert start is None  # it attaches to the compression of frame 0
+    for k in (2, 3):  # past OUTBOX_SIZE, but held blobs are not judged
+        assert fan.broadcast(DELTA[k], (k, f"reference {k}")) is None
+    assert fan.keyframe_ready(REF[0] if compressed else None) == 2
+    if compressed:
+        for client in (first, second):
+            assert list(client.outbox) == [HELLO, REF[0], DELTA[1], DELTA[2], DELTA[3]]
+        assert (fan.clients, fan.report.snapshot_calls) == ([first, second], 1)
+    else:
+        assert (fan.clients, fan.report.clients_dropped, fan.report.snapshot_calls) == ([], 2, 0)
+    third, start = fan.admit("third")
+    assert start == (3, "reference 3")  # none in flight: it starts one of the current frame

@@ -312,7 +312,7 @@ def eventually(predicate, timeout=5.0):
 
 
 class TestJoinPath:
-    """The joiner's keyframe is compressed on its own thread, with no lock held."""
+    """One keyframe compresses at a time, on its own thread with no lock held, for every joiner."""
 
     def test_broadcast_runs_while_a_joiner_compresses(self, monkeypatch):
         frames = synth_frames(20, seed=13)
@@ -346,23 +346,25 @@ class TestJoinPath:
         assert report.clients_total == 2
         assert report.clients_dropped == 0
 
-    def test_joiners_get_the_reference_keyframe(self):
+    def test_joiners_get_the_reference_keyframe(self, monkeypatch):
         frames = synth_frames(10, seed=17)
         server = net.StreamServer(make_source(frames)).start()
-        joiners = []
+        joiners, gate = [], CompressionGate(monkeypatch)
         try:
             assert completes(send_frames(server, 4))  # frames 0..3
             joiners = [socket.create_connection(server.address, timeout=10.0) for _ in range(2)]
             assert server.wait_for_clients(2)
+            gate.open()
             while server.send_next_frame():
                 pass
             report = server.finish()
             streams = [j.makefile("rb").read() for j in joiners]
         finally:
+            gate.open()
             for joiner in joiners:
                 joiner.close()
             server.close()
-        assert report.snapshot_calls == 2  # one compression per joiner
+        assert report.snapshot_calls == 1  # both joined while it compressed: they share it
         assert report.clients_total == 2
         hello = wc.frame_message(wc.Hello(frames[0].geometry, 25, 1))
         keyframe = wc.frame_message(wc.samples_to_message(3, frames[3].samples))
@@ -372,6 +374,55 @@ class TestJoinPath:
             numbers = [wc.parse_message(stream).frame_no for _ in range(6)]
             assert numbers == [4, 5, 6, 7, 8, 9]
             assert wc.parse_message(stream) == wc.End()
+
+    def test_a_join_storm_shares_one_compression(self, monkeypatch):
+        # four joiners arrive while one keyframe compresses, a frame broadcast
+        # after each: every one gets that keyframe and each delta since it began
+        calls, peak, counting = 0, 0, threading.Lock()
+        keyframe = net.StreamServer._keyframe
+
+        def counted(server, *args):
+            nonlocal calls, peak
+            with counting:
+                calls += 1
+                peak = max(peak, calls)
+            try:
+                keyframe(server, *args)
+            finally:
+                with counting:
+                    calls -= 1
+
+        monkeypatch.setattr(net.StreamServer, "_keyframe", counted)
+        frames = synth_frames(12, seed=67)
+        server = net.StreamServer(make_source(frames)).start()
+        joiners, gate = [], CompressionGate(monkeypatch)
+        try:
+            steady = Receiver(server.address)
+            assert server.wait_for_clients(1)
+            assert completes(send_frames(server, 4))  # frames 0..3
+            for listed in range(2, 6):
+                joiners.append(socket.create_connection(server.address, timeout=10.0))
+                assert server.wait_for_clients(listed)
+                assert gate.entered.wait(5.0)
+                assert completes(send_frames(server, 1))  # frames 4..7
+            gate.open()
+            while server.send_next_frame():
+                pass
+            report = server.finish()
+            streams = [j.makefile("rb").read() for j in joiners]
+        finally:
+            gate.open()
+            for joiner in joiners:
+                joiner.close()
+            server.close()
+        assert steady.join().frames_received == 12
+        assert steady.samples == [f.samples for f in frames]
+        assert (report.snapshot_calls, peak, report.clients_dropped) == (1, 1, 0)
+        session = SessionEncoder(frames[0].geometry, Fraction(25, 1))
+        deltas = [session.push(f) for f in frames][4:]
+        expected = b"".join(map(wc.frame_message, [
+            session.hello, wc.samples_to_message(3, frames[3].samples), *deltas, wc.End()]))
+        assert streams == [expected] * 4
 
     def test_joiner_is_not_judged_while_its_keyframe_compresses(self, monkeypatch):
         monkeypatch.setattr(net, "OUTBOX_SIZE", 4)
@@ -435,7 +486,8 @@ class TestJoinPath:
 
     def test_joiner_whose_keyframe_fails_is_dropped(self, monkeypatch, caplog):
         # as when the part workers cannot start a thread; held behind a keyframe
-        # that never comes, the joiner took every later blob and stalled finish()
+        # that never comes, a joiner took every later blob and stalled finish().
+        # The second joiner attaches to the same failing compression.
         failures = []
         monkeypatch.setattr(threading, "excepthook", failures.append)
 
@@ -443,44 +495,57 @@ class TestJoinPath:
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(net, "samples_to_message", failing)
+        gate = CompressionGate(monkeypatch)
         frames = synth_frames(50, seed=59)
         server = net.StreamServer(make_source(frames)).start()
-        joiner = None
+        joiners = []
         try:
             steady = Receiver(server.address)
             assert server.wait_for_clients(1)
             assert completes(send_frames(server, 5))  # frames 0..4
-            with caplog.at_level("INFO", logger="sfix.net"):
-                joiner = socket.create_connection(server.address, timeout=10.0)
-                assert eventually(lambda: server.report.clients_dropped == 1)
+            with caplog.at_level("DEBUG", logger="sfix.net"):
+                joiners.append(socket.create_connection(server.address, timeout=10.0))
+                assert gate.entered.wait(5.0)
+                assert completes(send_frames(server, 2))  # frames 5..6, held for both
+                joiners.append(socket.create_connection(server.address, timeout=10.0))
+                assert server.wait_for_clients(3)
+                gate.open()
+                assert eventually(lambda: server.report.clients_dropped == 2)
             while server.send_next_frame():
                 pass
             started = time.monotonic()
             report = server.finish()
             finish_seconds = time.monotonic() - started
-            with joiner.makefile("rb") as stream:
-                streamed = stream.read()
+            streams = [j.makefile("rb").read() for j in joiners]
         finally:
-            if joiner is not None:
+            gate.open()
+            for joiner in joiners:
                 joiner.close()
             server.close()
         assert steady.join().frames_received == 50
         assert steady.samples == [f.samples for f in frames]
-        assert streamed in (b"", wc.frame_message(wc.Hello(frames[0].geometry, 25, 1)))
+        hello = wc.frame_message(wc.Hello(frames[0].geometry, 25, 1))
+        assert all(streamed in (b"", hello) for streamed in streams)
         assert finish_seconds < 2.0
-        assert (report.clients_total, report.clients_dropped, report.snapshot_calls) == (2, 1, 0)
-        assert "keyframe failed: RuntimeError: can't start new thread" in caplog.text
+        assert (report.clients_total, report.clients_dropped, report.snapshot_calls) == (3, 2, 0)
+        # the reason is logged once, for the compression, with its traceback at debug
+        assert ("keyframe of frame 4 for 2 joiners: keyframe failed: RuntimeError: can't start"
+                " new thread") in caplog.text
+        [reason] = [r for r in caplog.records if "can't start new thread" in r.getMessage()]
+        [traced] = [r for r in caplog.records if r.exc_info]
+        assert (reason.levelname, traced.levelname) == ("INFO", "DEBUG")
         assert failures == []
 
-    def test_joiners_leave_no_thread_once_their_keyframes_are_queued(self):
+    def test_joiners_leave_no_thread_once_their_keyframes_are_queued(self, monkeypatch):
         frames = synth_frames(8, seed=53)
         server = net.StreamServer(make_source(frames)).start()
-        joiners = []
+        joiners, gate = [], CompressionGate(monkeypatch)
         try:
             assert completes(send_frames(server, 3))  # frames 0..2
             before = set(threading.enumerate())
             joiners = [socket.create_connection(server.address, timeout=10.0) for _ in range(8)]
             assert server.wait_for_clients(8)
+            gate.open()
             for joiner in joiners:
                 with joiner.makefile("rb") as stream:
                     assert isinstance(wc.parse_message(stream), wc.Hello)
@@ -492,10 +557,11 @@ class TestJoinPath:
                 pass
             report = server.finish()
         finally:
+            gate.open()
             for joiner in joiners:
                 joiner.close()
             server.close()
-        assert report.snapshot_calls == 8
+        assert report.snapshot_calls == 1
         assert report.clients_dropped == 0
 
     def test_join_during_an_unpaced_burst(self):

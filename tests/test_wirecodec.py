@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIFF, GOLDEN_INDEX
+from conftest import GOLDEN_DIFF, GOLDEN_INDEX, serial_parts
 from sfix.core import FrameDelta, FrameGeometry, IndexCode, IndexEntry
 from sfix.ingest import SynthParams, gen_low_motion
 from sfix import wirecodec as wc
@@ -32,22 +32,6 @@ def compressible(n):
     """n bytes in runs of 16 random values: they deflate to ~12%, so are never stored."""
     values = np.random.default_rng(n).integers(0, 256, n // 16 + 1, dtype=np.uint8)
     return values.repeat(16)[:n].tobytes()
-
-
-def serial_parts(data):
-    """The parted stream built in order on one thread: what compress() must equal."""
-    n = len(data)
-    count = math.ceil(n / (512 << 10))
-    bounds = [n * i // count for i in range(count + 1)]
-    out = [b"\x78\x9c"]
-    for i in range(count):
-        start, end = bounds[i], bounds[i + 1]
-        primer = {"zdict": data[start - (32 << 10):start]} if i else {}
-        deflater = zlib.compressobj(6, zlib.DEFLATED, -15, **primer)
-        out.append(deflater.compress(data[start:end]))
-        out.append(deflater.flush(zlib.Z_FINISH if i == count - 1 else zlib.Z_SYNC_FLUSH))
-    out.append(zlib.adler32(data).to_bytes(4, "big"))
-    return b"".join(out)
 
 
 class TestIndexSerialization:
