@@ -50,17 +50,16 @@ def _fps_arg(text: str) -> Fraction:
 
 def _mode_config(args: argparse.Namespace) -> EncoderConfig:
     mode = EncoderMode(args.mode)
-    return EncoderConfig(mode, getattr(args, "min_run", 3))
+    return EncoderConfig(mode, args.min_run)
 
 
 def _open_source(args: argparse.Namespace, stack: contextlib.ExitStack) -> ingest.VideoSource:
     stream = stack.enter_context(open(args.input, "rb"))
-    if getattr(args, "raw", False):
+    if args.raw:
         if args.width is None or args.height is None:
             args.parser.error("--raw input requires --width and --height")
         geometry = FrameGeometry(args.width, args.height, args.channels)
-        fps = getattr(args, "fps", None) or Fraction(25, 1)
-        return ingest.read_raw(stream, geometry, fps)
+        return ingest.read_raw(stream, geometry)  # its default rate; encode and serve apply --fps
     return ingest.read_y4m(stream)
 
 
@@ -89,7 +88,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=[m.value for m in EncoderMode], default="spatio",
-                   help="indexing mode (default spatio)")
+                   help="indexing mode (default spatio); bench --compare measures both modes")
     p.add_argument("--min-run", dest="min_run", type=_min_run_arg, default=3,
                    help="smallest equal-value run collapsed to a repeat (>= 2, default 3)")
 
@@ -137,10 +136,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         session = SessionDecoder("container")
         session.accept(next(messages))
         hello = session.hello
-        if hello.geometry.channels != 1 and not args.raw:
-            raise ingest.UnsupportedColorspace(
-                "3-channel streams have no mono Y4M form; decode with --raw"
-            )
 
         def frames() -> Iterator[Frame]:
             nonlocal count
@@ -181,13 +176,8 @@ def cmd_recv(args: argparse.Namespace) -> int:
         out = stack.enter_context(_atomic_output(args.output))
 
         def on_hello(hello: wirecodec.Hello) -> None:
-            if args.raw:
-                return
-            if hello.geometry.channels != 1:
-                raise ingest.UnsupportedColorspace(
-                    "3-channel streams have no mono Y4M form; receive with --raw"
-                )
-            ingest.write_y4m(out, hello.geometry, (), hello.fps)
+            if not args.raw:
+                ingest.write_y4m(out, hello.geometry, (), hello.fps)
 
         def sink(frame: Frame) -> None:
             if not args.raw:
@@ -293,12 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure per-frame codec metrics over a video")
     _add_source_flags(p)
-    p.add_argument("--mode", choices=[m.value for m in EncoderMode], default="spatio",
-                   help="single mode to measure (default spatio)")
+    _add_codec_flags(p)
     p.add_argument("--compare", action="store_true",
                    help="measure both modes and report the improvement")
-    p.add_argument("--min-run", dest="min_run", type=_min_run_arg, default=3,
-                   help="smallest equal-value run collapsed to a repeat (>= 2, default 3)")
     p.add_argument("--report", required=True, help="per-frame CSV output path")
     p.add_argument("--summary", help="optional summary CSV output path")
     p.set_defaults(func=cmd_bench)

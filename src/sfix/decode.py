@@ -31,7 +31,6 @@ from .core import (
     CODE_REPEAT_FROM_DIFF,
     Frame,
     FrameDelta,
-    Samples,
     concat_ranges,
     validate_delta,
 )
@@ -53,10 +52,6 @@ def _replay(out: np.ndarray, records: np.ndarray, diff: bytes) -> np.ndarray:
     return out
 
 
-def _copy(samples: Samples) -> np.ndarray:
-    return np.frombuffer(samples, dtype=np.uint8).copy()
-
-
 def decode_delta(ref: Frame, delta: FrameDelta, into: Optional[np.ndarray] = None) -> Frame:
     """Reconstruct the full frame a delta encodes against `ref`.
 
@@ -71,7 +66,7 @@ def decode_delta(ref: Frame, delta: FrameDelta, into: Optional[np.ndarray] = Non
     validate_delta(delta, ref.geometry)
     if delta.records["code"][0] == CODE_EQUAL_FRAMES:
         return Frame(ref.geometry, ref.samples)
-    out = _copy(ref.samples) if into is None else into
+    out = np.frombuffer(ref.samples, dtype=np.uint8).copy() if into is None else into
     out.flags.writeable = True
     _replay(out, delta.records, delta.diff)
     out.flags.writeable = False
@@ -81,16 +76,13 @@ def decode_delta(ref: Frame, delta: FrameDelta, into: Optional[np.ndarray] = Non
 def decode_prefix(ref: Frame, delta: FrameDelta, n_entries: int) -> bytes:
     """Samples produced by the first `n_entries` index entries.
 
-    Diagnostic replay of a partial reconstruction; n_entries == len(index)
-    yields the full frame's samples.
+    Diagnostic: a slice of the frame decode_delta rebuilds; n_entries ==
+    len(index) yields the full frame's samples, and 0 yields none.
     """
     records = delta.records
     if not 0 <= n_entries <= len(records):
         raise ValueError(f"n_entries {n_entries} outside [0, {len(records)}]")
-    validate_delta(delta, ref.geometry)
-    if n_entries == 0:
-        return b""
-    if records["code"][0] == CODE_EQUAL_FRAMES:
-        return bytes(ref.samples)
-    produced = int(records["count"][:n_entries].sum(dtype=np.uint64))
-    return _replay(_copy(ref.samples), records, delta.diff)[:produced].tobytes()
+    samples = decode_delta(ref, delta).samples
+    if n_entries < len(records):  # all of them give the whole frame, an EQUAL_FRAMES (count 0) too
+        samples = samples[: int(records["count"][:n_entries].sum(dtype=np.uint64))]
+    return bytes(samples)

@@ -161,10 +161,11 @@ def write_y4m(
     """Write frames as a Cmono YUV4MPEG2 stream; returns bytes written.
 
     Round-trips through read_y4m.  Only single-channel geometries have a
-    mono representation.
+    mono representation; any other raises before a byte is written.
     """
     if geometry.channels != 1:
-        raise UnsupportedColorspace("only single-channel frames can be written as Cmono")
+        raise UnsupportedColorspace(
+            f"{geometry.channels}-channel frames have no mono Y4M form; write raw samples (--raw)")
     header = (
         f"YUV4MPEG2 W{geometry.width} H{geometry.height}"
         f" F{fps.numerator}:{fps.denominator} Cmono\n"

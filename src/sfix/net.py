@@ -254,8 +254,7 @@ class StreamServer:
     ):
         self._frames = iter(source)
         self._bind_address = parse_address(address)
-        self._fps = fps if fps is not None else source.fps
-        self._session = SessionEncoder(source.geometry, self._fps, config)
+        self._session = SessionEncoder(source.geometry, source.fps if fps is None else fps, config)
         self._fan = FanOut(frame_message(self._session.hello))
         self._lock = threading.Lock()  # held around every FanOut call
         self._passed = threading.Condition(self._lock)  # notified as each loop pass ends
@@ -416,14 +415,19 @@ class StreamServer:
             self._loop.join()
 
     def stream(self) -> ServeReport:
-        """Paced broadcast loop: one frame per 1/fps tick until exhaustion."""
-        tick = float(1 / self._fps) if self._fps > 0 else 0.0
-        next_deadline = time.monotonic()
+        """Paced broadcast loop: one frame per tick of the HELLO's rate until exhaustion.
+
+        Each frame is due a tick after the previous one.  A frame already due
+        when the previous one is out goes at once, and the ticks restart from
+        it: after a stall of the source or the encoder, the server resumes its
+        rate instead of sending every overdue frame back to back, a burst that
+        could cut a client that keeps up with the rate but reads in steps.
+        """
+        tick = float(1 / self._session.hello.fps)
+        due = time.monotonic()
         while self.send_next_frame():
-            next_deadline += tick
-            delay = next_deadline - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+            due = max(due + tick, time.monotonic())
+            time.sleep(max(0.0, due - time.monotonic()))
         return self.finish()
 
 

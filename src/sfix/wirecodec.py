@@ -145,8 +145,10 @@ class Hello:
 
     @property
     def fps(self) -> Fraction:
-        """The session's frame rate; 25 when fps_den is 0."""
-        return Fraction(self.fps_num, self.fps_den) if self.fps_den else Fraction(25, 1)
+        """The session's frame rate, as every reader takes it: 25 when either term is 0."""
+        if self.fps_num and self.fps_den:
+            return Fraction(self.fps_num, self.fps_den)
+        return Fraction(25, 1)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import decode_container, hello_then, reset
 from sfix import cli, net
 from sfix.ingest import SynthParams, VideoSource, gen_low_motion, read_y4m, write_y4m
-from sfix.wirecodec import Hello, frame_message, read_container
+from sfix.session import SessionEncoder
+from sfix.wirecodec import End, Hello, frame_message, read_container, write_container
+
+DATA = Path(__file__).parent / "data"
 
 
 def gen_video(tmp_path, name="in.y4m", seed=7, frames=8):
@@ -192,6 +196,30 @@ class TestEncodeDecode:
         assert cli.main(["encode", "--input", str(video), "--output", str(out)]) == 1
         assert "sfix: error:" in capsys.readouterr().err
         assert list(tmp_path.glob("v.sfix*")) == []
+
+    def test_three_channels_need_raw_output(self, tmp_path, capsys):
+        out = tmp_path / "o.y4m"
+        rc = cli.main(["decode", "--input", str(DATA / "standard_rgb.sfix"), "--output", str(out)])
+        assert rc == 1
+        assert "--raw" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("num,den", [(0, 1), (5, 0)])
+    def test_a_zero_rate_term_decodes_as_25(self, tmp_path, num, den):
+        frames = list(gen_low_motion(SynthParams(seed=9, n_frames=3, width=16, height=8,
+                                                 block_count=1, block_size=2)))
+        session = SessionEncoder(frames[0].geometry, Fraction(25, 1))
+        container, video = tmp_path / "v.sfix", tmp_path / "v.y4m"
+        with open(container, "wb") as fh:
+            write_container(fh, [Hello(frames[0].geometry, num, den),
+                                 *map(session.push, frames), End()])
+        assert cli.main(["decode", "--input", str(container), "--output", str(video)]) == 0
+        assert video.read_bytes().startswith(b"YUV4MPEG2 W16 H8 F25:1 Cmono\n")
+        again = tmp_path / "again.sfix"
+        assert cli.main(["encode", "--input", str(video), "--output", str(again)]) == 0
+        with open(again, "rb") as fh:
+            assert next(read_container(fh)).fps == Fraction(25, 1)
+        assert decode_container(io.BytesIO(again.read_bytes())) == [f.samples for f in frames]
 
     def test_failed_decode_leaves_no_partial_output(self, tmp_path):
         from sfix.core import FrameGeometry
@@ -377,6 +405,29 @@ class TestRecvCommand:
         assert out.read_bytes() == want.getvalue()
         assert metrics.read_text().count("\n") == 6  # header + 5 delta rows
         assert rebuilds == [False] + [True] * 4  # the sink writes each frame and lets it go
+
+    def test_recv_of_three_channels_needs_raw_output(self, tmp_path, capsys):
+        frames = list(gen_low_motion(SynthParams(seed=4, n_frames=3, channels=3)))
+        server = net.StreamServer(VideoSource(frames[0].geometry, Fraction(25, 1), iter(frames)))
+        host, port = server.start().address
+
+        def pump():
+            server.wait_for_clients(1, timeout=10.0)
+            while server.send_next_frame():
+                pass
+            server.finish()
+
+        pumper = threading.Thread(target=pump)
+        pumper.start()
+        out = tmp_path / "rx.y4m"
+        try:
+            rc = cli.main(["recv", "--connect", f"{host}:{port}", "--output", str(out)])
+        finally:
+            pumper.join(timeout=15.0)
+            server.close()
+        assert rc == 1
+        assert "--raw" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_recv_connect_failure(self, tmp_path, capsys):
         import socket

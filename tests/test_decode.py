@@ -82,7 +82,8 @@ class TestDecodePrefix:
             assert prefix == golden_new.samples[: len(prefix)]
 
     def test_zero_entries_is_empty(self, golden_ref, golden_delta):
-        assert decode_prefix(golden_ref, golden_delta, 0) == b""
+        for delta in (golden_delta, EQUAL_FRAMES_DELTA):
+            assert decode_prefix(golden_ref, delta, 0) == b""
 
     def test_out_of_range_rejected(self, golden_ref, golden_delta):
         with pytest.raises(ValueError):

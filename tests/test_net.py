@@ -824,6 +824,53 @@ class TestBackPressure:
             stalled.close()
             server.close()
 
+    def test_a_source_stall_does_not_cut_a_peer_reading_in_steps(self, monkeypatch):
+        # 256 KiB of noise at 25 fps (6.6 MB/s) stalls for 1 s before frame 4.
+        # The peer reads 128 KiB every 10 ms through a 16 KiB receive buffer:
+        # twice the stream's rate, in steps.  Sent back to back, the 25 frames
+        # the stall makes overdue would fill the kernel's buffers and then its
+        # queue, and a loop pass between two of its steps would move none of
+        # its bytes and cut it as a slow consumer
+        monkeypatch.setattr(net, "OUTBOX_SIZE", 2)
+        frames = noise_frames(32, FrameGeometry(512, 512))
+
+        def stalling():
+            for frame_no, frame in enumerate(frames):
+                if frame_no == 4:
+                    time.sleep(1.0)
+                yield frame
+
+        server = net.StreamServer(VideoSource(frames[0].geometry, Fraction(25), stalling()))
+        server.start()
+        peer = socket.socket()
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+        got = bytearray()
+
+        def read_in_steps():
+            with contextlib.suppress(OSError), peer.makefile("rb") as stream:
+                while step := stream.read(131072):
+                    got.extend(step)
+                    time.sleep(0.01)
+
+        reader = threading.Thread(target=read_in_steps, daemon=True)
+        try:
+            peer.connect(server.address)
+            reader.start()
+            healthy = Receiver(server.address)
+            assert server.wait_for_clients(2)
+            report = server.stream()
+            reader.join(10.0)
+            assert not reader.is_alive()
+        finally:
+            peer.close()
+            server.close()
+        assert healthy.join().frames_received == len(frames)
+        assert healthy.samples == [f.samples for f in frames]
+        assert report.clients_dropped == 0
+        stream = io.BytesIO(got)
+        messages = [wc.parse_message(stream) for _ in range(len(frames) + 2)]
+        assert isinstance(messages[-1], wc.End) and stream.read() == b""
+
 
 def threads_running(target, started_before):
     """Threads alive now, not in started_before, whose target is `target`."""
@@ -977,6 +1024,13 @@ class TestProtocolPolicing:
         address = scripted_server([HELLO, short_ref])
         with pytest.raises(net.DecodeFailure):
             net.receive(address, timeout=5.0)
+
+
+@pytest.mark.parametrize("num,den", [(0, 1), (5, 0)])
+def test_a_zero_rate_term_is_received_as_25(num, den):
+    address = scripted_server([wc.frame_message(wc.Hello(GEOM, num, den)), REF0,
+                               wc.frame_message(wc.End())])
+    assert net.receive(address, timeout=10.0).fps == 25
 
 
 class TestConnectionErrors:
