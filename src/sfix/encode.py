@@ -6,23 +6,26 @@ arrays hold one element per changed word, per differing sample (bytes or
 bools only) or per entry, never one per run of equal new values:
 
 * Stretch pass, `segment_runs`.  The frames are compared as 8-sample
-  words.  Only the changed words are XORed, and flag arithmetic on them
-  gives each stretch's first and last sample; their bytes give `vals`,
-  the new samples of every stretch in scan order.  A frame whose length
-  is not a multiple of 8 compares its last samples as one zero-padded
-  word.  The gaps between stretches are COPY_FROM_REF entries (temporal
+  words.  One byte compare of the changed words gives `differs`: its true
+  bytes are `vals`, the new samples of every stretch in scan order, and
+  its flips are the stretch edges, with the changed words laid end to
+  end.  Where two of them are not adjacent in the frame, differing bytes
+  on both sides of their join are two stretches.  A frame whose length is
+  not a multiple of 8 compares its last samples as one zero-padded word.
+  The gaps between stretches are COPY_FROM_REF entries (temporal
   redundancy).
 * Repeat pass (spatio mode only).  Inside a stretch, runs of equal
   neighbours (`vals[1:] == vals[:-1]`) are found by their edges alone.
   Each run of >= min_repeat_run samples becomes one REPEAT_FROM_DIFF with
   a single diff sample (spatial redundancy).  Noise has few equal
   neighbours and constant fill has long runs, so both give few edges.
-* Entries.  An entry opens at every stretch start, repeat start and repeat
-  end; the samples between a stretch or repeat boundary and the next one
-  form a COPY_FROM_DIFF entry.  The diff is `vals` without the samples
-  after each repeat's first.
-* The COPY_FROM_REF gaps are interleaved before each stretch's first entry
-  and after the last stretch, giving the index records in order.
+* Entries.  The records tile the frame, so each count is the distance to
+  the next record's first sample.  Without repeats the records are the
+  gaps and the stretches, one COPY_FROM_DIFF entry each, and the diff is
+  `vals` itself.  Each repeat opens its own entry and, unless its stretch
+  ends or the next repeat starts there, a COPY_FROM_DIFF entry after it.
+  These are merged in by position, so the work is per stretch and per
+  repeat.  The diff then drops the samples after each repeat's first.
 
 The standard baseline mode skips the repeat pass and copies every stretch
 literally, so it only ever emits -1/-2/-3.
@@ -49,19 +52,8 @@ from .core import (
 )
 
 # Samples are compared eight at a time.  A little-endian word holds sample
-# 8*w + k in its byte k on any host, so a shift by 8 bits moves a byte's
-# flag to the neighbouring sample.
+# 8*w + k in its byte k on any host.
 _WORD = np.dtype("<u8")
-_LOW7 = np.uint64(0x7F7F_7F7F_7F7F_7F7F)
-_HIGH = np.uint64(0x8080_8080_8080_8080)
-_ONE_SAMPLE = np.uint64(8)
-_SEVEN_SAMPLES = np.uint64(56)
-_HIGH_TO_LOW = np.uint64(7)  # moves a byte's 0x80 flag to its 0x01 bit
-
-# Roles of a position in `vals`, as bits; an entry opens wherever one is set.
-_OPENS_STRETCH = 1
-_OPENS_REPEAT = 2
-_ENDS_REPEAT = 4
 
 
 def _require_same_geometry(ref: Frame, new: Frame) -> None:
@@ -93,33 +85,28 @@ def segment_runs(ref: Samples, new: Samples) -> tuple[np.ndarray, np.ndarray, np
     """The differing stretches: their [start, end) sample positions and new samples.
 
     The third array holds the new samples of every stretch, concatenated in
-    scan order.  Nothing is built per sample outside the changed words.
+    scan order.  One compare of the changed words' bytes gives both: the
+    differing bytes are the samples, and its flips are the stretch edges.
+    Nothing is built per sample outside the changed words.
     """
     words, old, cur = _changed_words(ref, new)
-    x = old ^ cur
-    # 0x80 in each differing byte; adding 0x7F to the low 7 bits cannot carry
-    # into the next byte.
-    differs = (((x & _LOW7) + _LOW7) | x) & _HIGH
-    # The flags of each byte's predecessor and successor.  A flag crosses a
-    # word boundary only into an adjacent changed word: a `gap` word's
-    # neighbour before it is unchanged.
-    gap = np.flatnonzero(words[1:] != words[:-1] + 1) + 1
-    before = differs << _ONE_SAMPLE
-    before[1:] |= differs[:-1] >> _SEVEN_SAMPLES
-    before[gap] = differs[gap] << _ONE_SAMPLE
-    after = differs >> _ONE_SAMPLE
-    after[:-1] |= differs[1:] << _SEVEN_SAMPLES
-    after[gap - 1] = differs[gap - 1] >> _ONE_SAMPLE
-    # 0x80 marks a stretch's first sample and 0x01 its last.
-    edges = (differs & ~before) | ((differs & ~after) >> _HIGH_TO_LOW)
-    edge_bytes = edges.astype(_WORD, copy=False).view(np.uint8)
-    at = np.flatnonzero(edge_bytes != 0)
-    kind = edge_bytes[at]
-    first, last = at[kind >= 0x80], at[(kind & 1) != 0]
+    new_bytes = cur.view(np.uint8)
+    # differs[i + 1]: byte i of the changed words differs; False at both ends.
+    differs = np.zeros(len(new_bytes) + 2, dtype=bool)
+    np.not_equal(old.view(np.uint8), new_bytes, out=differs[1:-1])
+    vals = new_bytes[differs[1:-1]]
+    # With the changed words laid end to end, a stretch opens or closes
+    # wherever `differs` flips, so `edges` alternates first byte and end.
+    edges = np.flatnonzero(differs[1:] != differs[:-1])
+    # Where a word follows one that is not its neighbour in the frame, a run
+    # of differing bytes through the join is two stretches: it closes and
+    # reopens there.
+    join = 8 * (np.flatnonzero(words[1:] != words[:-1] + 1) + 1)
+    split = join[differs[join] & differs[join + 1]]
+    edges = np.insert(edges, np.searchsorted(edges, split).repeat(2), split.repeat(2))
+    first, last = edges[0::2], edges[1::2] - 1
     start = words[first >> 3] * 8 + (first & 7)
     end = words[last >> 3] * 8 + (last & 7) + 1
-    new_bytes = cur.view(np.uint8)
-    vals = new_bytes[old.view(np.uint8) != new_bytes]
     return start, end, vals
 
 
@@ -149,49 +136,84 @@ def encode_delta(ref: Frame, new: Frame, cfg: EncoderConfig = EncoderConfig()) -
         return EQUAL_FRAMES_DELTA
 
     start, end, vals = segment_runs(ref.samples, new.samples)
-    lengths = end - start
-    firsts = np.cumsum(lengths) - lengths  # each stretch's first sample in vals
+    # Records tile the frame, each starting where the one before it ends:
+    # the equal gap before each stretch, the stretch's entries, and the tail.
+    # Only the first gap and the tail can be empty; they are sliced off below.
+    bounds = np.empty(2 * len(start) + 1, dtype=np.int64)
+    bounds[0] = 0
+    bounds[1::2] = start
+    bounds[2::2] = end
+    codes = np.full(len(bounds), CODE_COPY_FROM_REF, dtype=np.int8)
+    codes[1::2] = CODE_COPY_FROM_DIFF
+    diff = vals
     if cfg.mode is EncoderMode.SPATIO_TEMPORAL:
+        lengths = end - start
+        firsts = np.cumsum(lengths) - lengths  # each stretch's first sample in vals
         repeat_start, repeat_end = _repeats(vals, firsts, cfg.min_repeat_run)
-    else:
-        repeat_start = repeat_end = firsts[:0]
+        if len(repeat_start):
+            bounds, codes = _open_repeats(bounds, codes, firsts, repeat_start, repeat_end)
+            diff = _drop_repeat_tails(vals, repeat_start, repeat_end)
 
-    # An entry opens at each stretch start, repeat start and repeat end; a
-    # repeat may end where the next repeat or stretch opens, or at the end.
-    role = np.zeros(len(vals) + 1, dtype=np.uint8)
-    role[repeat_end] = _ENDS_REPEAT
-    role[firsts] |= _OPENS_STRETCH
-    role[repeat_start] |= _OPENS_REPEAT
-    entry_starts = np.flatnonzero(role[:-1] != 0)
-    entry_roles = role[entry_starts]
-    entry_counts = np.diff(entry_starts, append=len(vals))
-    entry_codes = np.where(
-        entry_roles & _OPENS_REPEAT,
-        np.int8(CODE_REPEAT_FROM_DIFF),
-        np.int8(CODE_COPY_FROM_DIFF),
-    )
-
-    # A repeat keeps only its first sample in the diff.
-    diff = np.delete(vals, concat_ranges(repeat_start + 1, repeat_end - repeat_start - 1))
-
-    # The equal gap before each stretch and after the last one; only the
-    # first and the last can be empty, and those are sliced off below.
-    gaps = start - np.concatenate(([0], end[:-1]))
-    tail = len(new.samples) - int(end[-1])
-
-    # Each entry's record slot leaves room for the gaps of every stretch
-    # opened so far; a stretch's gap sits just before its first entry.
-    opens = (entry_roles & _OPENS_STRETCH) != 0
-    slots = np.arange(len(entry_starts)) + np.cumsum(opens)
-    records = np.empty(len(entry_starts) + len(gaps) + 1, dtype=INDEX_RECORD)
-    records["code"] = CODE_COPY_FROM_REF
-    records["count"][slots[opens] - 1] = gaps
-    records["count"][-1] = tail
-    records["code"][slots] = entry_codes
-    records["count"][slots] = entry_counts
-    first = 0 if gaps[0] else 1  # no gap before a difference at sample 0
-    stop = len(records) if tail else -1  # nor after one at the last sample
+    counts = np.diff(bounds, append=len(new.samples))
+    records = np.empty(len(bounds), dtype=INDEX_RECORD)
+    records["code"] = codes
+    records["count"] = counts
+    first = 0 if counts[0] else 1  # no gap before a difference at sample 0
+    stop = len(records) if counts[-1] else -1  # nor after one at the last sample
     return FrameDelta(records[first:stop], diff.tobytes())
+
+
+def _open_repeats(
+    bounds: np.ndarray,
+    codes: np.ndarray,
+    firsts: np.ndarray,
+    repeat_start: np.ndarray,
+    repeat_end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`bounds` and `codes` with an entry opened at each repeat and after it.
+
+    A repeat that opens its stretch turns the stretch's entry into the
+    repeat; a COPY_FROM_DIFF entry resumes after a repeat unless its stretch
+    ends there or the next repeat begins there.
+    """
+    stretch = np.searchsorted(firsts, repeat_start, side="right") - 1
+    at = bounds[2 * stretch + 1] + (repeat_start - firsts[stretch])
+    to = at + (repeat_end - repeat_start)
+    opens = at == bounds[2 * stretch + 1]
+    codes[2 * stretch[opens] + 1] = CODE_REPEAT_FROM_DIFF
+    resumes = to != bounds[2 * stretch + 2]
+    resumes[:-1] &= to[:-1] != at[1:]
+    # A repeat's new entries go before the gap after its stretch, and after
+    # those of earlier repeats.
+    added = resumes + (~opens).astype(np.int64)
+    repeat_row = 2 * stretch + 2 + (np.cumsum(added) - added)
+    resume_row = repeat_row + ~opens
+    repeat_row, resume_row = repeat_row[~opens], resume_row[resumes]
+    carried = np.ones(len(bounds) + len(repeat_row) + len(resume_row), dtype=bool)
+    carried[repeat_row] = carried[resume_row] = False
+    merged_bounds = np.empty(len(carried), dtype=bounds.dtype)
+    merged_bounds[carried] = bounds
+    merged_bounds[repeat_row] = at[~opens]
+    merged_bounds[resume_row] = to[resumes]
+    merged_codes = np.empty(len(carried), dtype=codes.dtype)
+    merged_codes[carried] = codes
+    merged_codes[repeat_row] = CODE_REPEAT_FROM_DIFF
+    merged_codes[resume_row] = CODE_COPY_FROM_DIFF
+    return merged_bounds, merged_codes
+
+
+def _drop_repeat_tails(vals: np.ndarray, repeat_start: np.ndarray, repeat_end: np.ndarray) -> np.ndarray:
+    """`vals` keeping only the first sample of each repeat.
+
+    Whichever is shorter is indexed: the samples kept, or the repeat tails.
+    """
+    tails = repeat_end - repeat_start - 1
+    kept = len(vals) - int(tails.sum())
+    if kept < len(vals) - kept:
+        keep_from = np.concatenate(([0], repeat_end))
+        keep_to = np.concatenate((repeat_start + 1, [len(vals)]))
+        return vals[concat_ranges(keep_from, keep_to - keep_from)]
+    return np.delete(vals, concat_ranges(repeat_start + 1, tails))
 
 
 def advance_reference(current_ref: Frame, just_encoded: Frame) -> Frame:

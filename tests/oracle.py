@@ -52,6 +52,30 @@ def oracle_encode(
     return index, bytes(diff)
 
 
+def oracle_stretches(ref: bytes, new: bytes) -> tuple[list[int], list[int], bytes]:
+    """[start, end) of every maximal run of differing positions, in order,
+    with the new samples of all of them concatenated."""
+    if len(ref) != len(new):
+        raise ValueError("length mismatch")
+    starts: list[int] = []
+    ends: list[int] = []
+    samples = bytearray()
+    n = len(new)
+    i = 0
+    while i < n:
+        if ref[i] == new[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and ref[j] != new[j]:
+            j += 1
+        starts.append(i)
+        ends.append(j)
+        samples += new[i:j]
+        i = j
+    return starts, ends, bytes(samples)
+
+
 def _collapse(
     index: list[tuple[int, int]],
     diff: bytearray,

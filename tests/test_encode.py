@@ -188,6 +188,13 @@ def test_segmentation_tiles_and_alternates(pair):
     assert vals.tobytes() == b"".join(new.samples[s:e] for s, e in zip(start, end))
 
 
+@given(frame_pairs())
+@settings(max_examples=150, deadline=None)
+def test_segmentation_matches_the_oracle(pair):
+    ref, new = pair
+    assert_segments_match_oracle(ref, new)
+
+
 @given(frame_pairs(), st.integers(2, 5))
 @settings(max_examples=150, deadline=None)
 def test_index_structure_invariants(pair, min_run):
@@ -287,6 +294,20 @@ def _word_edge_pairs(m):
     yield "equal neighbours across an equal gap", *changed(24, {k: 5 for k in range(24) if k != 8})
 
 
+def assert_segments_match_oracle(ref, new, name=None):
+    start, end, vals = segment_runs(ref.samples, new.samples)
+    want_start, want_end, want_vals = oracle.oracle_stretches(ref.samples, new.samples)
+    assert start.tolist() == want_start, name
+    assert end.tolist() == want_end, name
+    assert vals.tobytes() == want_vals, name
+
+
+@pytest.mark.parametrize("min_run", [2, 3, 5])
+def test_edge_shapes_segment_like_the_oracle(min_run):
+    for name, ref, new in edge_pairs(min_run):
+        assert_segments_match_oracle(ref, new, name)
+
+
 @pytest.mark.parametrize("mode", list(EncoderMode))
 @pytest.mark.parametrize("min_run", [2, 3, 5])
 def test_edge_shapes_match_oracle_and_round_trip(mode, min_run):
@@ -323,3 +344,20 @@ def test_block_clips_match_oracle(fill, mode):
         assert as_pairs(delta) == want_index
         assert delta.diff == want_diff
         assert decode_delta(ref, delta).samples == new.samples
+
+
+@pytest.mark.parametrize("mode", list(EncoderMode))
+@pytest.mark.parametrize("fill, blocks", [("noise", 400), ("constant", 20)])
+def test_benchmark_scale_pair_matches_oracle(fill, blocks, mode):
+    """One pair shaped like the hd_heavy or hd_light workload: 1920x1620
+    samples (1080p 4:2:0 planes) with 400 noise or 20 constant 32-px blocks."""
+    params = SynthParams(
+        seed=28, n_frames=2, width=1920, height=1620, block_count=blocks, block_size=32,
+        fill_mode=fill, change_fraction=0.1,
+    )
+    ref, new = gen_low_motion(params)
+    oracle_run = None if mode is EncoderMode.STANDARD_BASELINE else 3
+    delta = encode_delta(ref, new, EncoderConfig(mode))
+    want_index, want_diff = oracle.oracle_encode(ref.samples, new.samples, oracle_run)
+    assert as_pairs(delta) == want_index
+    assert delta.diff == want_diff
